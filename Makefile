@@ -77,11 +77,15 @@ test-fast-path:
 
 # Full-catalog trace audit at the small-N CI profile: every scenario's
 # cells are replayed with traces, counters/energy re-derived, aggregates
-# and declared invariants cross-checked.  Shares the sweep cell cache
-# (warm cache => cheap re-audit) and exits non-zero on any violation.
+# and declared invariants cross-checked.  Runs twice, cold: once on the
+# reference (scalar) engine and once on the default engine, so both
+# engines' reported tables -- native residency included -- face the
+# independent traced replays.  Exits non-zero on any violation.
 catalog-audit:
+	PYTHONPATH=src python -m repro catalog audit --engine scalar \
+	  --no-cache --report audit-report-scalar.json
 	PYTHONPATH=src python -m repro catalog audit \
-	  --report audit-report.json
+	  --no-cache --report audit-report.json
 
 experiments:
 	python -m repro run-all --out results_quick

@@ -75,6 +75,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.analysis.cellcache import CellCache  # noqa: E402
+from repro.analysis.executor import effective_cpu_count  # noqa: E402
 from repro.analysis.sweep import utilization_sweep  # noqa: E402
 from repro.catalog import panel_sweep_config  # noqa: E402
 from repro.catalog.schema import PanelSpec  # noqa: E402
@@ -370,7 +371,7 @@ def bench_distributed():
         _reap_workers(procs)
     _check_dist_run("worker-kill", kill, raw, normalized)
 
-    lanes = max(1, min(DIST_WORKERS, os.cpu_count() or 1))
+    lanes = max(1, min(DIST_WORKERS, effective_cpu_count()))
     floor = DIST_SPEEDUP_FLOOR if lanes >= DIST_WORKERS \
         else round(DIST_SPEEDUP_FLOOR * lanes / DIST_WORKERS, 3)
     return {
@@ -447,7 +448,7 @@ def check_service_gates(report):
 
 
 def _machine_fingerprint():
-    return {"machine": platform.machine(), "cpus": os.cpu_count() or 1}
+    return {"machine": platform.machine(), "cpus": effective_cpu_count()}
 
 
 WORKLOADS = ("warm_http", "dedup", "parity", "distributed")

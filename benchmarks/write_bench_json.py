@@ -791,7 +791,7 @@ import sys
 from repro.analysis.sweep import SweepConfig, utilization_sweep
 utilization_sweep(SweepConfig(policies=("EDF", "staticEDF", "ccEDF"),
                               n_tasks=4, n_sets=1, utilizations=(0.5,),
-                              duration=50.0, seed=2001))
+                              duration=50.0, seed=2001, engine="scalar"))
 print("numpy" in sys.modules)
 """
 
@@ -845,7 +845,7 @@ def bench_fig9_sweep_batch():
     base = dict(policies=BATCH_WORKLOAD_POLICIES, n_tasks=8, n_sets=100,
                 duration=400.0, seed=SEED)
     start = time.perf_counter()
-    scalar = utilization_sweep(SweepConfig(**base))
+    scalar = utilization_sweep(SweepConfig(**base, engine="scalar"))
     scalar_s = time.perf_counter() - start
     config = SweepConfig(**base)
     cells = len(config.utilizations) * config.n_sets
@@ -926,7 +926,7 @@ def _machine_fingerprint():
     """Identity used to decide whether wall-clock numbers are comparable."""
     return {
         "machine": platform.machine(),
-        "cpus": os.cpu_count() or 1,
+        "cpus": effective_cpu_count(),
     }
 
 

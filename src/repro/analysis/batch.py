@@ -22,7 +22,10 @@ execution modes that replace it:
   exactly (unsupported policies, instrumented runs, abandoned lanes)
   down the fallback ladder: block lane → per-cell kernel → engine.
   Per-run fallback reasons and per-stage timings are reported through
-  :class:`BlockStats` so silent degradation is visible in sweep results.
+  :class:`EngineStats` so silent degradation is visible in sweep results.
+
+``batch`` is the sweep layer's default engine (:data:`DEFAULT_ENGINE`);
+``scalar`` stays the explicit reference oracle.
 
 Two invariants anchor the design:
 
@@ -30,12 +33,13 @@ Two invariants anchor the design:
   scalar path: :func:`run_cell_batch` is
   :func:`repro.analysis.sweep.run_cell` itself, parameterized with
   :func:`batch_simulate` as its simulation entry point, so the RM
-  fallback logic, the bound, residency instrumentation, and the
-  hyperperiod short-circuit compose identically (the short-circuit's
-  warmup windows run on the batch kernel too, then extrapolate per cell
-  exactly as before).  Runs outside the kernel envelope — instrumented
-  policies, exotic miss modes — silently fall back to the engine, cell by
-  cell.
+  fallback logic, the bound, native residency, and the hyperperiod
+  short-circuit compose identically (the short-circuit's warmup windows
+  run on the batch kernel too, then extrapolate per cell exactly as
+  before).  Runs outside the kernel envelope — instrumented runs, timer
+  policies, exotic miss modes — fall back to the engine run by run, and
+  every fallback is counted by reason in
+  :attr:`EngineStats.engine_fallbacks`.
 * **Scalar-path laziness.**  Within the simulation layer, numpy only
   ever loads through :func:`repro.sim.batch_kernels.numpy_backend`,
   which nothing on the scalar path calls; the memory benchmark's record
@@ -53,6 +57,7 @@ from itertools import groupby
 from time import perf_counter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+from repro.analysis.executor import DEFAULT_ENGINE, ENGINES  # noqa: F401
 from repro.analysis.sweep import (REFERENCE_POLICY, CellSpec, SweepContext,
                                   materialize_cell, run_cell)
 from repro.core import make_policy
@@ -63,15 +68,12 @@ from repro.errors import MachineError, SchedulabilityError
 from repro.model.demand import TraceDemand
 from repro.model.task import TaskSet
 from repro.sim import block_kernels
-from repro.sim.batch_kernels import (kernel_simulate, kernel_supported,
+from repro.sim.batch_kernels import (kernel_fallback_reason, kernel_simulate,
                                      lowest_at_least_indices, numpy_backend)
 from repro.sim.block_kernels import LaneResult, LaneSpec, SEG_RUN, run_lanes
 from repro.sim.engine import simulate
 from repro.sim.steady import demand_is_hyperperiodic
 from repro.sim.timeline import SimTimeline
-
-#: Engine names accepted by the sweep layer.
-ENGINES = ("scalar", "batch", "block")
 
 #: Keyword arguments the engine accepts but :class:`CellKernel` does not
 #: spell out; they reach the kernel only with their default (supported)
@@ -80,17 +82,23 @@ _ENGINE_ONLY_KWARGS = ("admissions", "enforce_wcet", "switching")
 
 
 def batch_simulate(taskset: TaskSet, machine, policy,
-                   params: Optional[tuple] = None, **kwargs):
+                   params: Optional[tuple] = None,
+                   stats: Optional["EngineStats"] = None, **kwargs):
     """Simulate one run on the batch kernel, or fall back to the engine.
 
     Drop-in compatible with :func:`repro.sim.engine.simulate` (including
-    the ``instrument`` keyword); ``params`` optionally supplies the
-    pre-flattened ``(periods, wcets)`` row of a :class:`ColumnBlock`.
-    Anything the kernel envelope does not cover — instrumented runs,
-    ``on_miss="continue"``, wakeup-timer policies, dynamic admissions —
-    runs on the engine and returns its (identical) result.
+    the ``instrument`` and ``residency`` keywords); ``params`` optionally
+    supplies the pre-flattened ``(periods, wcets)`` row of a
+    :class:`ColumnBlock`.  Anything the kernel envelope does not cover —
+    instrumented runs, ``on_miss="continue"``, wakeup-timer policies,
+    dynamic admissions, switch halts — runs on the engine and returns its
+    (identical) result; the reason is counted in
+    ``stats.engine_fallbacks`` when ``stats`` is given.
     """
-    if not kernel_supported(policy, **kwargs):
+    reason = kernel_fallback_reason(policy, **kwargs)
+    if reason is not None:
+        if stats is not None:
+            stats.engine_fallback(reason)
         return simulate(taskset, machine, policy, **kwargs)
     kernel_kwargs = {key: value for key, value in kwargs.items()
                      if key not in _ENGINE_ONLY_KWARGS}
@@ -99,11 +107,12 @@ def batch_simulate(taskset: TaskSet, machine, policy,
                            **kernel_kwargs)
 
 
-def _batch_simulate_fn(params: Optional[tuple]):
+def _batch_simulate_fn(params: Optional[tuple],
+                       stats: Optional["EngineStats"]):
     """A ``simulate``-shaped callable binding one cell's SoA row."""
     def sim(taskset, machine, policy, **kwargs):
         return batch_simulate(taskset, machine, policy, params=params,
-                              **kwargs)
+                              stats=stats, **kwargs)
     return sim
 
 
@@ -179,34 +188,38 @@ def build_column_block(context: SweepContext,
                        initial_point_index=initial)
 
 
-def run_block_cell(block: ColumnBlock, index: int) -> Dict[str, object]:
+def run_block_cell(block: ColumnBlock, index: int,
+                   stats: Optional["EngineStats"] = None
+                   ) -> Dict[str, object]:
     """Run one cell of a materialized block.
 
     Delegates to the scalar :func:`~repro.analysis.sweep.run_cell` with
     the batch kernel as its simulation entry point, so the outcome dict —
     keys, insertion order, RM fallbacks, bound, fast-path accounting — is
-    the scalar path's own.
+    the scalar path's own.  Engine fallbacks are counted into ``stats``.
     """
     spec = block.specs[index]
     params = (block.periods[index], block.wcets[index])
     return run_cell(block.context, spec,
-                    simulate_fn=_batch_simulate_fn(params),
+                    simulate_fn=_batch_simulate_fn(params, stats),
                     materialized=(block.tasksets[index],
                                   block.demands[index]))
 
 
-def run_cell_batch(context: SweepContext,
-                   spec: CellSpec) -> Dict[str, object]:
+def run_cell_batch(context: SweepContext, spec: CellSpec,
+                   stats: Optional["EngineStats"] = None
+                   ) -> Dict[str, object]:
     """Batch-engine twin of :func:`~repro.analysis.sweep.run_cell`.
 
     The per-cell entry point used by worker processes (each worker cell
     is its own single-cell block; worker fan-out already parallelizes
     across the column).
     """
-    return run_block_cell(build_column_block(context, [spec]), 0)
+    return run_block_cell(build_column_block(context, [spec]), 0, stats)
 
 
 def iter_cells_batch(context: SweepContext, specs: Sequence[CellSpec],
+                     stats: Optional["EngineStats"] = None,
                      ) -> Iterator[Tuple[int, Dict[str, object]]]:
     """Yield ``(index, outcome)`` for every spec, in submission order.
 
@@ -219,7 +232,7 @@ def iter_cells_batch(context: SweepContext, specs: Sequence[CellSpec],
         column = list(group)
         block = build_column_block(context, column)
         for offset in range(len(column)):
-            yield position, run_block_cell(block, offset)
+            yield position, run_block_cell(block, offset, stats)
             position += 1
 
 
@@ -228,17 +241,22 @@ def iter_cells_batch(context: SweepContext, specs: Sequence[CellSpec],
 # ---------------------------------------------------------------------------
 
 @dataclass
-class BlockStats:
-    """Eligibility and timing accounting for one block-engine run.
+class EngineStats:
+    """Which rung of the ladder ran, for one batch- or block-engine run.
 
     Mirrors the sweep's fast-path counters: ``block_cells`` counts cells
     where at least one policy run was served straight from a vectorized
     lane; ``fallbacks`` maps a reason to the number of simulation calls
-    routed down the per-cell fallback ladder instead.
+    the block engine routed down the per-cell ladder instead;
+    ``engine_fallbacks`` maps a reason to the number of runs the per-run
+    kernel handed to the event engine (both array engines).  Travels as
+    a plain dict beside the outcomes from process and distributed
+    workers (:meth:`to_dict` / :meth:`merge_dict`).
     """
 
     block_cells: int = 0
     fallbacks: Dict[str, int] = field(default_factory=dict)
+    engine_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Wall seconds spent materializing columns and planning lanes.
     build_seconds: float = 0.0
     #: Wall seconds spent inside the vectorized lane simulator.
@@ -247,16 +265,23 @@ class BlockStats:
     def fallback(self, reason: str) -> None:
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
 
+    def engine_fallback(self, reason: str) -> None:
+        self.engine_fallbacks[reason] = \
+            self.engine_fallbacks.get(reason, 0) + 1
+
     def to_dict(self) -> Dict[str, object]:
         return {"block_cells": self.block_cells,
                 "fallbacks": dict(self.fallbacks),
+                "engine_fallbacks": dict(self.engine_fallbacks),
                 "build_seconds": self.build_seconds,
                 "kernel_seconds": self.kernel_seconds}
 
     def merge_dict(self, other: Dict[str, object]) -> None:
         self.block_cells += other.get("block_cells", 0)
-        for reason, count in other.get("fallbacks", {}).items():
-            self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
+        for key in ("fallbacks", "engine_fallbacks"):
+            mine = getattr(self, key)
+            for reason, count in other.get(key, {}).items():
+                mine[reason] = mine.get(reason, 0) + count
         self.build_seconds += other.get("build_seconds", 0.0)
         self.kernel_seconds += other.get("kernel_seconds", 0.0)
 
@@ -441,15 +466,16 @@ def _lane_timeline(machine, taskset: TaskSet, segments) -> SimTimeline:
 
 def _block_simulate_fn(block: ColumnBlock, index: int,
                        plans: Dict[tuple, object],
-                       stats: BlockStats, flags: Dict[str, bool]):
+                       stats: EngineStats, flags: Dict[str, bool]):
     """A ``simulate``-shaped callable serving one cell from its lanes.
 
     Calls that match a clean planned lane return its precomputed figures
     (full-horizon totals, or the captured warmup trace for the steady
     fast path); everything else — rejected policies, abandoned lanes,
-    instrumented or unexpected call shapes — is counted in ``stats`` and
-    delegated to :func:`batch_simulate`, which reproduces the exact
-    scalar behavior, exceptions included.
+    instrumented or residency runs (lanes keep no residency), unexpected
+    call shapes — is counted in ``stats`` and delegated to
+    :func:`batch_simulate`, which reproduces the exact scalar behavior,
+    exceptions included.
     """
     context = block.context
     params = (block.periods[index], block.wcets[index])
@@ -458,10 +484,10 @@ def _block_simulate_fn(block: ColumnBlock, index: int,
 
     def sim(ts, mach, policy, demand=None, duration=None,
             energy_model=None, on_miss="raise", instrument=None,
-            record_trace=False, **kwargs):
+            record_trace=False, residency=False, **kwargs):
         reason: Optional[str] = None
         planned = plans.get((getattr(policy, "name", None), on_miss))
-        if instrument is not None:
+        if instrument is not None or residency:
             reason = "instrumented"
         elif kwargs:
             reason = "unsupported-call"
@@ -491,10 +517,12 @@ def _block_simulate_fn(block: ColumnBlock, index: int,
             # the full horizon; a full lane cannot serve a trace request.
             reason = "call-shape"
         stats.fallback(reason)
+        if residency:
+            kwargs["residency"] = True
         return batch_simulate(ts, mach, policy, params=params,
-                              demand=demand, duration=duration,
-                              energy_model=energy_model, on_miss=on_miss,
-                              instrument=instrument,
+                              stats=stats, demand=demand,
+                              duration=duration, energy_model=energy_model,
+                              on_miss=on_miss, instrument=instrument,
                               record_trace=record_trace, **kwargs)
 
     return sim
@@ -502,7 +530,7 @@ def _block_simulate_fn(block: ColumnBlock, index: int,
 
 def _run_planned_cell(block: ColumnBlock, index: int,
                       plans: Dict[tuple, object],
-                      stats: BlockStats) -> Dict[str, object]:
+                      stats: EngineStats) -> Dict[str, object]:
     """Run one planned cell through the scalar ``run_cell`` driver."""
     flags = {"hit": False}
     outcome = run_cell(
@@ -515,7 +543,7 @@ def _run_planned_cell(block: ColumnBlock, index: int,
 
 
 def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]],
-                      stats: BlockStats) -> List[Dict[tuple, object]]:
+                      stats: EngineStats) -> List[Dict[tuple, object]]:
     """Plan lanes for every cell, run one vectorized mega-pass over all
     of them, and attach the results (or a shared fallback reason)."""
     context = cells[0][0].context if cells else None
@@ -548,7 +576,7 @@ def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]],
 
 
 def run_block(block: ColumnBlock,
-              stats: Optional[BlockStats] = None) -> List[Dict[str, object]]:
+              stats: Optional[EngineStats] = None) -> List[Dict[str, object]]:
     """Run a whole :class:`ColumnBlock` at once on the lane simulator.
 
     The block-at-once sibling of :func:`run_block_cell`: one vectorized
@@ -557,7 +585,7 @@ def run_block(block: ColumnBlock,
     lane results (identical keys, ordering, fallback and fast-path
     accounting — bit-identical outcomes by construction).
     """
-    stats = BlockStats() if stats is None else stats
+    stats = EngineStats() if stats is None else stats
     cells = [(block, index) for index in range(len(block))]
     plans = _plan_and_execute(cells, stats)
     return [_run_planned_cell(block, index, cell_plans, stats)
@@ -577,7 +605,7 @@ def run_cell_block(context: SweepContext,
 
 
 def iter_cells_block(context: SweepContext, specs: Sequence[CellSpec],
-                     stats: Optional[BlockStats] = None,
+                     stats: Optional[EngineStats] = None,
                      ) -> Iterator[Tuple[int, Dict[str, object]]]:
     """Yield ``(index, outcome)`` for every spec, in submission order.
 
@@ -586,7 +614,7 @@ def iter_cells_block(context: SweepContext, specs: Sequence[CellSpec],
     simultaneously (the lane axis concatenates columns; lanes pad to the
     widest task count), and outcomes are then assembled per cell.
     """
-    stats = BlockStats() if stats is None else stats
+    stats = EngineStats() if stats is None else stats
     cells: List[Tuple[ColumnBlock, int]] = []
     for _, group in groupby(specs, key=_column_key):
         column = list(group)

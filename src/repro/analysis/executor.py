@@ -39,6 +39,17 @@ from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
 #: Accepted spellings of "pick the worker count for me".
 AUTO_TOKENS = ("auto", "max", "0")
 
+#: Cell execution backends: ``"scalar"`` (the discrete-event engine, the
+#: reference oracle), ``"batch"`` (the per-run flat-array kernel, falling
+#: back to the engine run by run) and ``"block"`` (cross-cell vectorized
+#: lanes over the batch ladder).  All three are bit-identical.
+ENGINES = ("scalar", "batch", "block")
+
+#: The engine every sweep entry point (the in-process sweep, catalog,
+#: CLI, service protocol, distributed worker ``auto`` hint) uses unless
+#: told otherwise.  ``"scalar"`` stays available as the reference.
+DEFAULT_ENGINE = "batch"
+
 
 def effective_cpu_count() -> int:
     """CPUs this process can actually run on.
@@ -102,7 +113,8 @@ def _install_contexts(contexts: Dict[str, object]) -> None:
 
 def _execute_cell(digest: str, context: Optional[object],
                   spec: object, encode: bool = False,
-                  engine: str = "scalar") -> object:
+                  engine: str = DEFAULT_ENGINE,
+                  with_stats: bool = False) -> object:
     """Run one cell in a worker process.
 
     ``context`` is ``None`` when the digest was installed via the pool
@@ -112,23 +124,31 @@ def _execute_cell(digest: str, context: Optional[object],
     :mod:`repro.analysis.transport` instead of a pickled object graph —
     one small bytes object per cell.  ``engine`` picks the cell backend
     (``"scalar"`` = event engine, ``"batch"`` = array kernels; identical
-    outcomes).
+    outcomes).  With ``with_stats`` (batch engine) the result is
+    ``(outcome, stats_dict)``: the kernel's engine-fallback ledger rides
+    beside the payload, never inside it.
     """
     ctx = _CONTEXTS.get(digest)
     if ctx is None:
         if context is None:  # pragma: no cover - defensive
             raise RuntimeError(f"sweep context {digest} not installed")
         _CONTEXTS[digest] = ctx = context
+    stats = None
     if engine == "batch":
-        from repro.analysis.batch import run_cell_batch as run_cell
+        from repro.analysis.batch import EngineStats, run_cell_batch
+        stats = EngineStats() if with_stats else None
+        outcome = run_cell_batch(ctx, spec, stats)
     elif engine == "block":
-        from repro.analysis.batch import run_cell_block as run_cell
+        from repro.analysis.batch import run_cell_block
+        outcome = run_cell_block(ctx, spec)
     else:
         from repro.analysis.sweep import run_cell
-    outcome = run_cell(ctx, spec)
+        outcome = run_cell(ctx, spec)
     if encode:
         from repro.analysis.transport import encode_cell
-        return encode_cell(outcome)
+        outcome = encode_cell(outcome)
+    if with_stats:
+        return outcome, (stats.to_dict() if stats is not None else None)
     return outcome
 
 
@@ -139,7 +159,7 @@ def _execute_column(digest: str, context: Optional[object],
     The block engine's unit of useful work is the column, not the cell
     (lanes amortize across it), so the parallel path ships columns.
     Returns the encoded outcomes (spec order) plus the worker-local
-    :class:`~repro.analysis.batch.BlockStats` as a plain dict — stats
+    :class:`~repro.analysis.batch.EngineStats` as a plain dict — stats
     ride *beside* the outcome payloads, never inside them, because the
     cell wire format and the shared cell cache are engine-agnostic.
     """
@@ -148,9 +168,9 @@ def _execute_column(digest: str, context: Optional[object],
         if context is None:  # pragma: no cover - defensive
             raise RuntimeError(f"sweep context {digest} not installed")
         _CONTEXTS[digest] = ctx = context
-    from repro.analysis.batch import BlockStats, iter_cells_block
+    from repro.analysis.batch import EngineStats, iter_cells_block
     from repro.analysis.transport import encode_cell
-    stats = BlockStats()
+    stats = EngineStats()
     encoded = [encode_cell(outcome) for _, outcome
                in iter_cells_block(ctx, specs, stats=stats)]
     return encoded, stats.to_dict()
@@ -274,7 +294,7 @@ class CellExecutor:
     def run_cells(self, context, specs: Sequence,
                   progress: Optional[SweepProgress] = None,
                   on_result: Optional[Callable[[int, object], None]] = None,
-                  engine: str = "scalar",
+                  engine: str = DEFAULT_ENGINE,
                   stats=None,
                   ) -> Iterator[Tuple[int, object]]:
         """Yield ``(index, outcome)`` for every spec, unordered.
@@ -289,9 +309,10 @@ class CellExecutor:
         single-cell blocks — the fan-out already parallelizes the
         column).  The block engine works column-at-once in both modes
         (the inline path fuses *all* columns into one lane pass; the
-        parallel path ships whole columns to workers), and fills
-        ``stats`` (a :class:`~repro.analysis.batch.BlockStats`) with its
-        eligibility and timing accounting when one is passed.
+        parallel path ships whole columns to workers).  Both array
+        engines fill ``stats`` (a :class:`~repro.analysis.batch.
+        EngineStats`) with their fallback ledgers — merged from every
+        worker process — when one is passed.
         """
         if self._shutdown:
             raise RuntimeError("executor already shut down")
@@ -299,7 +320,7 @@ class CellExecutor:
         if self.workers <= 1 or len(specs) <= 1:
             if engine == "batch":
                 from repro.analysis.batch import iter_cells_batch
-                stream = iter_cells_batch(context, specs)
+                stream = iter_cells_batch(context, specs, stats=stats)
             elif engine == "block":
                 from repro.analysis.batch import iter_cells_block
                 stream = iter_cells_block(context, specs, stats=stats)
@@ -347,13 +368,15 @@ class CellExecutor:
             return
         pending = {
             pool.submit(_execute_cell, digest, ship, spec, True,
-                        engine): index
+                        engine, True): index
             for index, spec in enumerate(specs)}
         while pending:
             finished, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
                 index = pending.pop(future)
-                outcome = future.result()
+                outcome, stats_dict = future.result()
+                if stats is not None and stats_dict is not None:
+                    stats.merge_dict(stats_dict)
                 if isinstance(outcome, bytes):
                     self.ipc_bytes += len(outcome)
                     outcome = decode_cell(outcome)
@@ -363,7 +386,8 @@ class CellExecutor:
                     progress.advance()
                 yield index, outcome
 
-    def submit_cell(self, context, spec, engine: str = "scalar") -> Future:
+    def submit_cell(self, context, spec,
+                    engine: str = DEFAULT_ENGINE) -> Future:
         """Schedule one cell; returns a :class:`~concurrent.futures.Future`
         resolving to its outcome dict.
 

@@ -45,8 +45,8 @@ def combined_report(results: Sequence[ExperimentResult],
                           for r in results)
     if residency_count:
         lines.append(f"Includes {residency_count} frequency-residency "
-                     "table(s) from instrumented runs "
-                     "(`repro.obs.MetricsCollector`).")
+                     "table(s) measured natively by the run loop "
+                     "(`SimResult.residency`).")
         lines.append("")
     for result in results:
         lines.append(result.render(charts=charts))

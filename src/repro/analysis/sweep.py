@@ -47,7 +47,8 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.analysis.aggregate import mean, sample_std
 from repro.analysis.cellcache import cell_key, open_cache
-from repro.analysis.executor import CellExecutor, SweepProgress
+from repro.analysis.executor import (DEFAULT_ENGINE, ENGINES, CellExecutor,
+                                     SweepProgress)
 from repro.analysis.series import Series, SweepTable
 from repro.core import PAPER_POLICIES, make_policy
 from repro.core.no_dvs import NoDVS
@@ -57,7 +58,6 @@ from repro.hw.machine import Machine, machine0
 from repro.model.demand import DemandModel, TraceDemand, demand_from_spec
 from repro.model.generator import DEFAULT_BANDS, PeriodBand, TaskSetGenerator
 from repro.model.task import TaskSet
-from repro.obs.metrics import MetricsCollector
 from repro.sim.bound import minimum_energy_for_cycles
 from repro.sim.engine import simulate
 from repro.sim.steady import try_steady_fast_path
@@ -126,9 +126,9 @@ class SweepConfig:
     seed: int = 1
     workers: Union[int, str] = 1
     cycle_energy_scale: float = 1.0
-    #: Policies to additionally instrument with a
-    #: :class:`~repro.obs.MetricsCollector`; their mean per-frequency
-    #: residency fractions land in :attr:`SweepResult.residency`.
+    #: Policies whose runs also report native frequency residency
+    #: (``SimResult.residency``); their mean per-frequency fractions land
+    #: in :attr:`SweepResult.residency`.
     residency_policies: Tuple[str, ...] = ()
     cache_dir: Optional[str] = None
     #: Opt-in hyperperiod short-circuit (``--steady-fast-path``): cells
@@ -143,14 +143,15 @@ class SweepConfig:
     #: defaults.  Narrow or degenerate bands produce commensurable
     #: periods, making cells eligible for the steady fast path.
     period_bands: Optional[Tuple[Tuple[float, float], ...]] = None
-    #: Cell execution backend: ``"scalar"`` (the discrete-event engine,
-    #: one cell at a time — the default), ``"batch"`` (column-blocked
-    #: :mod:`repro.analysis.batch` kernels), or ``"block"`` (cross-cell
-    #: vectorized lanes, :mod:`repro.sim.block_kernels`) — all
-    #: bit-identical.  The engine choice is *not* part of the cell
-    #: identity — the engines share one cache namespace because their
-    #: outcomes are indistinguishable.
-    engine: str = "scalar"
+    #: Cell execution backend (one of :data:`ENGINES`): ``"batch"``
+    #: (column-blocked :mod:`repro.analysis.batch` kernels — the
+    #: default), ``"scalar"`` (the discrete-event engine, one cell at a
+    #: time — the reference), or ``"block"`` (cross-cell vectorized
+    #: lanes, :mod:`repro.sim.block_kernels`) — all bit-identical.  The
+    #: engine choice is *not* part of the cell identity — the engines
+    #: share one cache namespace because their outcomes are
+    #: indistinguishable.
+    engine: str = DEFAULT_ENGINE
     #: Hyperperiod detection grid for the steady fast path, pinned once
     #: per sweep so cache keys, fast-path eligibility, and batch-column
     #: grouping all agree on each cell's hyperperiod.  Non-default values
@@ -202,6 +203,11 @@ class SweepResult:
     #: ("unsupported-policy", "demand-shape", "deadline-miss",
     #: "schedulability", "no-numpy", "small-block", ...).
     block_fallbacks: Dict[str, int] = field(default_factory=dict)
+    #: Fallback reason -> count of policy runs the per-run kernel handed
+    #: to the event engine ("instrumented", "wakeup-timer", "admissions",
+    #: "continue", "switching", ...; ``engine="batch"``/``"block"`` only —
+    #: on ``"scalar"`` the event engine is the choice, not a fallback).
+    engine_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Wall seconds per pipeline stage: always ``"aggregate"``; block
     #: runs add ``"block-build"`` (column materialization + lane
     #: planning) and ``"block-kernel"`` (the vectorized lane passes).
@@ -348,13 +354,15 @@ def utilization_sweep(config: SweepConfig,
     lines on stderr (or pass a :class:`SweepProgress` to customize).
     """
     labels = _result_labels(config)
-    # Lazy import: repro.analysis.batch imports this module at its top.
-    from repro.analysis.batch import ENGINES, BlockStats
     if config.engine not in ENGINES:
         raise ReproError(
             f"unknown sweep engine {config.engine!r}; "
             f"expected one of {', '.join(repr(e) for e in ENGINES)}")
-    block_stats = BlockStats() if config.engine == "block" else None
+    engine_stats = None
+    if config.engine != "scalar":
+        # Lazy import: repro.analysis.batch imports this module at its top.
+        from repro.analysis.batch import EngineStats
+        engine_stats = EngineStats()
     context = SweepContext(
         machine=config.machine,
         policies=tuple(labels[:-1]),
@@ -410,7 +418,7 @@ def utilization_sweep(config: SweepConfig,
         # Drain the barrier-free stream; `store` fills `outcomes`.
         for _ in runner.run_cells(context, pending_specs, progress=meter,
                                   on_result=store, engine=config.engine,
-                                  stats=block_stats):
+                                  stats=engine_stats):
             pass
         workers_used = runner.workers
     finally:
@@ -424,11 +432,13 @@ def utilization_sweep(config: SweepConfig,
     result.simulated_cells = len(pending)
     result.workers_used = workers_used
     result.retries = getattr(runner, "retries", 0) - retries_before
-    if block_stats is not None:
-        result.block_cells = block_stats.block_cells
-        result.block_fallbacks = dict(block_stats.fallbacks)
-        result.stage_seconds["block-build"] = block_stats.build_seconds
-        result.stage_seconds["block-kernel"] = block_stats.kernel_seconds
+    if engine_stats is not None:
+        result.engine_fallbacks = dict(engine_stats.engine_fallbacks)
+    if config.engine == "block":
+        result.block_cells = engine_stats.block_cells
+        result.block_fallbacks = dict(engine_stats.fallbacks)
+        result.stage_seconds["block-build"] = engine_stats.build_seconds
+        result.stage_seconds["block-kernel"] = engine_stats.kernel_seconds
     return result
 
 
@@ -576,7 +586,8 @@ def run_cell(context: SweepContext, spec: CellSpec,
              ) -> Dict[str, object]:
     """Simulate every policy on one cell; returns label -> energy
     (plus ``_rm_fallbacks``, ``_fast_path`` when the short-circuit is on,
-    and, when requested, ``_residency``).
+    and, when requested, ``_residency`` — read from the run loop's
+    native ``SimResult.residency``, no collector attached).
 
     ``simulate_fn`` swaps the simulation entry point (the batch engine
     passes its kernel dispatcher; must be drop-in compatible with
@@ -597,14 +608,15 @@ def run_cell(context: SweepContext, spec: CellSpec,
     fast_used = 0
     fast_fallbacks: Dict[str, int] = {}
 
-    def run_one(policy, on_miss, collector):
-        """(total_energy, executed_cycles) via the hyperperiod
-        short-circuit when it verifies, full simulation otherwise."""
+    def run_one(policy, on_miss, track_residency):
+        """(total_energy, executed_cycles, residency fractions or None)
+        via the hyperperiod short-circuit when it verifies, full
+        simulation otherwise."""
         nonlocal fast_used
         if context.steady_fast_path:
-            if collector is not None:
-                # Residency instrumentation observes the whole run; an
-                # extrapolated run has no full-horizon trace to observe.
+            if track_residency:
+                # Residency covers the whole run; an extrapolated run
+                # has no full-horizon schedule to measure it on.
                 fast_fallbacks["instrumented"] = \
                     fast_fallbacks.get("instrumented", 0) + 1
             else:
@@ -616,31 +628,35 @@ def run_cell(context: SweepContext, spec: CellSpec,
                     simulate_fn=simulate_fn)
                 if fast is not None:
                     fast_used += 1
-                    return fast.total_energy, fast.executed_cycles
+                    return fast.total_energy, fast.executed_cycles, None
                 fast_fallbacks[reason] = fast_fallbacks.get(reason, 0) + 1
+        # Only residency runs pass the keyword, so every other call keeps
+        # the engine's exact call shape (the block engine serves those
+        # from its lanes).
+        extra = {"residency": True} if track_residency else {}
         result = sim(taskset, context.machine, policy,
                      demand=demand, duration=context.duration,
-                     energy_model=energy_model, on_miss=on_miss,
-                     instrument=collector)
-        return result.total_energy, result.executed_cycles
+                     energy_model=energy_model, on_miss=on_miss, **extra)
+        fractions = None
+        if track_residency:
+            span = result.span or 1.0
+            fractions = {f: seconds / span for f, seconds in
+                         result.residency.items()}
+        return result.total_energy, result.executed_cycles, fractions
 
     for name in context.policies:
-        collector = None
-        if name in context.residency_policies:
-            collector = MetricsCollector()
+        track = name in context.residency_policies
         try:
-            energy, cycles = run_one(make_policy(name), "raise", collector)
+            energy, cycles, fractions = run_one(make_policy(name), "raise",
+                                                track)
         except SchedulabilityError:
             # EDF-schedulable but not RM-schedulable (paper footnote 3):
             # fall back to full-speed RM and tolerate the misses.
-            energy, cycles = run_one(NoDVS(scheduler="rm"), "drop",
-                                     collector)
+            energy, cycles, fractions = run_one(NoDVS(scheduler="rm"),
+                                                "drop", track)
             out["_rm_fallbacks"] += 1
-        if collector is not None:
-            metrics = collector.metrics
-            span = metrics.span or 1.0
-            residency[name] = {f: seconds / span for f, seconds in
-                               metrics.residency.items()}
+        if fractions is not None:
+            residency[name] = fractions
         out[name] = energy
         if name == REFERENCE_POLICY:
             reference_cycles = cycles

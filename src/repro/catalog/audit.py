@@ -18,8 +18,8 @@ downstream:
   EDF-normalized mean tables, RM-fallback totals, residency tables — are
   recomputed from the replayed per-cell energies and compared
   (``aggregate:*``); residency is rebuilt from traces
-  (:func:`~repro.obs.metrics.residency_from_trace`), not from the live
-  collectors the sweep used;
+  (:func:`~repro.obs.metrics.residency_from_trace`), not from the
+  native ``SimResult.residency`` the sweep's run loops reported;
 * every invariant the scenario declares (``invariant:<name>``, see
   :data:`repro.catalog.schema.KNOWN_INVARIANTS`) is evaluated at its
   declared tolerance, including scalar/batch engine parity and
@@ -41,6 +41,7 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.aggregate import mean
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import (BOUND_LABEL, REFERENCE_POLICY, CellSpec,
                                   SweepConfig, SweepContext, SweepResult,
                                   materialize_cell, run_cell,
@@ -286,17 +287,18 @@ def replay_cell(context: SweepContext, spec: CellSpec) -> CellReplay:
     rm_fallbacks = 0
     reference_cycles: Optional[float] = None
     for name in context.policies:
+        track = name in context.residency_policies
         try:
             run = simulate(taskset, context.machine, make_policy(name),
                            demand=demand, duration=context.duration,
                            energy_model=energy_model, on_miss="raise",
-                           record_trace=True)
+                           record_trace=True, residency=track)
         except SchedulabilityError:
             run = simulate(taskset, context.machine,
                            NoDVS(scheduler="rm"), demand=demand,
                            duration=context.duration,
                            energy_model=energy_model, on_miss="drop",
-                           record_trace=True)
+                           record_trace=True, residency=track)
             rm_fallbacks += 1
         runs[name] = run
         energies[name] = run.total_energy
@@ -520,13 +522,34 @@ def _audit_invariant(invariant: Invariant, name: str, panel: str,
         slack = max(tol, _REL_EPS)
         bad = []
         for cell in replays:
+            where = (f"u={cell.spec.utilization:g}/"
+                     f"set={cell.spec.set_index}")
             for policy, fractions in cell.residency.items():
                 total = sum(fractions.values())
                 if abs(total - 1.0) > slack:
-                    bad.append(
-                        f"u={cell.spec.utilization:g}/"
-                        f"set={cell.spec.set_index} {policy}: residency "
-                        f"fractions sum to {total!r}")
+                    bad.append(f"{where} {policy}: residency fractions "
+                               f"sum to {total!r}")
+                # The run loop's native histogram must agree with the
+                # one rebuilt from the same run's trace.
+                run = cell.runs[policy]
+                native = run.residency or {}
+                traced = residency_from_trace(run.trace)
+                span = run.span or 1.0
+                for f in set(native) | set(traced):
+                    gap = abs(native.get(f, 0.0) - traced.get(f, 0.0))
+                    if gap > slack * span:
+                        bad.append(f"{where} {policy} f={f:g}: native "
+                                   f"residency {native.get(f, 0.0)!r} vs "
+                                   f"trace {traced.get(f, 0.0)!r}")
+        for policy in config.residency_policies:
+            table = result.residency.get(policy)
+            if table is None:
+                continue  # aggregate:residency reports the gap
+            for i, x in enumerate(table.xs):
+                total = sum(series.ys[i] for series in table.series)
+                if abs(total - 1.0) > slack:
+                    bad.append(f"{policy}@u={x:g}: reported residency "
+                               f"sums to {total!r}")
         return _check(name, panel, check_name, not bad, "; ".join(bad[:3]))
 
     if invariant.name == "engine-parity":
@@ -570,7 +593,7 @@ def audit_scenario(scenario: Scenario,
                    profile: Optional[AuditProfile] = None,
                    cache_dir: Optional[str] = None,
                    workers=1, executor=None,
-                   engine: str = "scalar") -> AuditReport:
+                   engine: str = DEFAULT_ENGINE) -> AuditReport:
     """Audit one scenario end to end.
 
     Sweep panels run through :func:`utilization_sweep` at the profile's
@@ -614,7 +637,7 @@ def audit_catalog(names: Optional[Sequence[str]] = None,
                   profile: Optional[AuditProfile] = None,
                   cache_dir: Optional[str] = None,
                   workers=1, executor=None,
-                  engine: str = "scalar") -> List[AuditReport]:
+                  engine: str = DEFAULT_ENGINE) -> List[AuditReport]:
     """Audit the whole catalog (or the named subset), in catalog order."""
     catalog = load_catalog()
     if names:

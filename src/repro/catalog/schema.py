@@ -37,6 +37,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Dict, Optional, Tuple, Union
 
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import DEFAULT_UTILIZATIONS, SweepConfig
 from repro.core import PAPER_POLICIES, canonical_policy_name
 from repro.errors import ReproError
@@ -69,7 +70,9 @@ KNOWN_INVARIANTS: Dict[str, str] = {
         "every replayed run's energy is at least the Sec. 3.2 LP lower "
         "bound for the cycles it actually executed",
     "residency-conservation":
-        "per-policy frequency-residency fractions sum to 1 on every cell",
+        "per-policy frequency-residency fractions sum to 1 on every cell "
+        "and in the reported tables, and each run's native residency "
+        "matches the histogram rebuilt from its trace",
     "engine-parity":
         "scalar and batch engines produce identical outcome dicts on "
         "sampled cells",
@@ -198,7 +201,7 @@ class PanelSpec:
     def sweep_config(self, quick: bool = True, *, workers=1,
                      cache_dir: Optional[str] = None,
                      steady_fast_path: bool = False,
-                     engine: str = "scalar",
+                     engine: str = DEFAULT_ENGINE,
                      steady_resolution: float = 1e-6) -> SweepConfig:
         """Resolve this panel to a runnable :class:`SweepConfig`.
 

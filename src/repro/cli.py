@@ -60,7 +60,8 @@ import sys
 from typing import List, Optional
 
 from repro.analysis.cellcache import CellCache, default_cache_dir
-from repro.analysis.executor import resolve_workers
+from repro.analysis.executor import (DEFAULT_ENGINE, ENGINES,
+                                     resolve_workers)
 from repro.core import available_policies, make_policy
 from repro.experiments.runall import (ALL_EXPERIMENTS, run_all,
                                       run_experiment, summary_table)
@@ -97,14 +98,17 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                              "periodic demand simulate warmup + two "
                              "hyperperiods and extrapolate (fallback to "
                              "full simulation whenever verification fails)")
-    parser.add_argument("--engine", choices=("scalar", "batch", "block"),
-                        default="scalar",
-                        help="cell execution backend: 'scalar' simulates "
-                             "each cell on the event engine; 'batch' runs "
-                             "column-blocked array kernels; 'block' "
-                             "advances every cell of a column at once in "
-                             "cross-cell vectorized lane passes (both "
-                             "bit-identical to scalar, faster cold sweeps)")
+    parser.add_argument("--engine", choices=ENGINES,
+                        default=DEFAULT_ENGINE,
+                        help="cell execution backend: 'batch' (the "
+                             "default) runs each policy on the per-run "
+                             "array kernel, falling back to the event "
+                             "engine outside its envelope; 'scalar' "
+                             "simulates every cell on the event engine "
+                             "(the reference); 'block' advances every "
+                             "cell of a column at once in cross-cell "
+                             "vectorized lane passes (all bit-identical; "
+                             "default: %(default)s)")
 
 
 def _cache_dir_from(args: argparse.Namespace):
@@ -308,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="coordinator work-queue endpoint (the "
                                "dist_port of 'rtdvs serve --dist-port')")
     p_worker.add_argument("--engine", default="auto",
-                          choices=("auto", "scalar", "batch", "block"),
+                          choices=("auto",) + ENGINES,
                           help="simulation engine; 'auto' follows the "
                                "coordinator's per-lease hint "
                                "(default: %(default)s)")
@@ -340,9 +344,10 @@ def _build_parser() -> argparse.ArgumentParser:
                                "(default: all panels)")
     p_submit.add_argument("--full", action="store_true",
                           help="paper-scale parameters (slow)")
-    p_submit.add_argument("--engine", choices=("scalar", "batch", "block"),
-                          default="scalar",
-                          help="cell execution backend on the server")
+    p_submit.add_argument("--engine", choices=ENGINES, default=None,
+                          help="cell execution backend on the server "
+                               "(default: the server's, "
+                               f"{DEFAULT_ENGINE!r})")
     p_submit.add_argument("--tenant", default="default",
                           help="tenant identity for quota accounting")
     p_submit.add_argument("--stream-every", type=int, default=0,
@@ -429,6 +434,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                             steady_fast_path=args.steady_fast_path,
                             engine=args.engine)
     print(result.render(charts=not args.no_charts))
+    print(result.engine_summary(args.engine))
     if args.csv:
         for path in result.write_csvs(args.csv):
             print(f"wrote {path}")
@@ -629,6 +635,7 @@ def _cmd_catalog_run(args: argparse.Namespace) -> int:
                           steady_fast_path=args.steady_fast_path,
                           engine=args.engine)
     print(result.render(charts=not args.no_charts))
+    print(result.engine_summary(args.engine))
     return 0 if result.all_checks_pass else 1
 
 
@@ -811,7 +818,7 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             request["panel"] = args.panel
     if args.tenant != "default":
         request["tenant"] = args.tenant
-    if args.engine != "scalar":
+    if args.engine is not None:
         request["engine"] = args.engine
     if args.stream_every:
         request["stream_every"] = args.stream_every

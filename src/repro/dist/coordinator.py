@@ -33,7 +33,7 @@ import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
-from repro.analysis.executor import SweepProgress
+from repro.analysis.executor import DEFAULT_ENGINE, SweepProgress
 from repro.analysis.transport import decode_cell
 from repro.dist.queue import LeaseQueue
 from repro.dist.wire import (WireError, context_to_wire, recv_frame,
@@ -120,7 +120,7 @@ class RemoteCellExecutor:
     def run_cells(self, context, specs: Sequence,
                   progress: Optional[SweepProgress] = None,
                   on_result: Optional[Callable[[int, object], None]] = None,
-                  engine: str = "scalar",
+                  engine: str = DEFAULT_ENGINE,
                   stats=None,
                   ) -> Iterator[Tuple[int, object]]:
         """Yield ``(index, outcome)`` for every spec, unordered.
@@ -190,7 +190,8 @@ class RemoteCellExecutor:
             # dead audience.
             self._queue.cancel_group(group)
 
-    def submit_cell(self, context, spec, engine: str = "scalar") -> Future:
+    def submit_cell(self, context, spec,
+                    engine: str = DEFAULT_ENGINE) -> Future:
         """Schedule one cell on the worker fleet; never blocks.
 
         Trace-carrying specs run on a coordinator-local thread (same
@@ -324,7 +325,7 @@ class RemoteCellExecutor:
                         send_frame(conn, "shutdown")
                         return
                     lease = self._queue.lease(
-                        worker_id, self._lease_size(), timeout=0.25)
+                        worker_id, self._lease_size, timeout=0.25)
                 header: Dict[str, object] = {
                     "lease": lease.lease_id,
                     "digest": lease.digest,
@@ -360,10 +361,10 @@ class RemoteCellExecutor:
                 raise WireError(
                     f"unexpected frame kind {kind!r} from {worker_id}")
 
-    def _lease_size(self) -> int:
-        """Adaptive lease sizing: split pending work across the fleet."""
+    def _lease_size(self, pending: int) -> int:
+        """Adaptive lease sizing: split ``pending`` work across the fleet
+        (called by the queue at grant time)."""
         with self._lock:
             fleet = max(1, len(self._connected))
-        pending = self._queue.pending
         fair = -(-pending // (2 * fleet)) if pending else 1
         return max(1, min(self.lease_cells, fair))

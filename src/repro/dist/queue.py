@@ -34,7 +34,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
+from typing import (Callable, Deque, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.errors import ReproError
 
@@ -54,7 +55,7 @@ class WorkItem:
     spec: object
     wire_spec: Dict[str, object]
     deliver: Deliver
-    #: Block-stats sink shared by the item's group (may be ``None``).
+    #: Engine-stats sink shared by the item's group (may be ``None``).
     on_stats: Optional[Callable[[Dict[str, object]], None]] = None
     retries: int = 0
 
@@ -132,10 +133,14 @@ class LeaseQueue:
             return len(self._leases)
 
     # -- worker side (via connection handlers) ------------------------------
-    def lease(self, worker: str, max_cells: int,
+    def lease(self, worker: str,
+              max_cells: Union[int, Callable[[int], int]],
               timeout: Optional[float] = None) -> Optional[Lease]:
         """Grant up to ``max_cells`` homogeneous pending cells.
 
+        ``max_cells`` may be a callable of the pending count, evaluated
+        when the lease is granted: a worker that waited for work is then
+        sized by the work that arrived, not by the empty queue it saw.
         Blocks up to ``timeout`` for work (``None`` = forever); returns
         ``None`` on timeout or once the queue is closed.  The batch is
         the longest prefix run of pending items sharing the head item's
@@ -163,6 +168,8 @@ class LeaseQueue:
                 digest=head.digest, engine=head.engine,
                 deadline=self._clock() + self.lease_timeout)
             self._next_lease += 1
+            if callable(max_cells):
+                max_cells = max_cells(len(self._pending))
             while self._pending and len(lease.items) < max(1, max_cells):
                 item = self._pending[0]
                 if (item.digest, item.engine, item.group) != \

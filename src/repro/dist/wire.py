@@ -33,7 +33,8 @@ Message kinds
     Extends the named lease's deadline while a long batch simulates.
 ``result`` (worker -> coordinator)
     Completed tickets of a lease; one CTR1 payload per ticket, plus the
-    block engine's stats dict when applicable.
+    array engines' stats dict (lane and engine fallback ledgers) when
+    applicable.
 ``error`` (worker -> coordinator)
     A lease's cells raised a *deterministic* simulation error; the
     coordinator fails those tickets instead of retrying them.

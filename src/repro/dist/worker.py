@@ -32,6 +32,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.analysis.executor import DEFAULT_ENGINE, ENGINES
 from repro.analysis.sweep import SweepContext, run_cell
 from repro.analysis.transport import encode_cell
 from repro.dist.wire import (WIRE_VERSION, WireError, context_from_wire,
@@ -40,7 +41,7 @@ from repro.errors import ReproError
 
 #: Engines a worker accepts for ``--engine`` (``"auto"`` = follow the
 #: coordinator's per-lease hint).
-WORKER_ENGINES = ("auto", "scalar", "batch", "block")
+WORKER_ENGINES = ("auto",) + ENGINES
 
 
 class WorkerError(ReproError):
@@ -65,20 +66,16 @@ def parse_connect(text: str) -> Tuple[str, int]:
 def _simulate_lease(context: SweepContext, specs: List, engine: str
                     ) -> Tuple[List[bytes], Optional[Dict[str, object]]]:
     """Run one lease's cells; returns encoded outcomes in spec order
-    (plus the block engine's stats dict when applicable)."""
+    (plus the array engines' stats dict when applicable)."""
     encoded: List[Optional[bytes]] = [None] * len(specs)
-    if engine == "block":
-        from repro.analysis.batch import BlockStats, iter_cells_block
-        stats = BlockStats()
-        for index, outcome in iter_cells_block(context, specs,
-                                               stats=stats):
+    if engine in ("batch", "block"):
+        from repro.analysis.batch import (EngineStats, iter_cells_batch,
+                                          iter_cells_block)
+        cells = iter_cells_block if engine == "block" else iter_cells_batch
+        stats = EngineStats()
+        for index, outcome in cells(context, specs, stats=stats):
             encoded[index] = encode_cell(outcome)
         return encoded, stats.to_dict()
-    if engine == "batch":
-        from repro.analysis.batch import iter_cells_batch
-        for index, outcome in iter_cells_batch(context, specs):
-            encoded[index] = encode_cell(outcome)
-        return encoded, None
     for index, spec in enumerate(specs):
         encoded[index] = encode_cell(run_cell(context, spec))
     return encoded, None
@@ -209,7 +206,7 @@ def _serve_connection(sock: socket.socket, engine: str,
         specs = specs_from_wire(head["specs"])
         tickets = head["tickets"]
         lease_engine = engine if engine != "auto" \
-            else head.get("engine", "scalar")
+            else head.get("engine", DEFAULT_ENGINE)
         heartbeat = _Heartbeat(sock, write_lock, head["lease"],
                                heartbeat_interval)
         try:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import Dict, List
 
 from repro.analysis.export import to_csv, to_markdown
 from repro.analysis.series import SweepTable
@@ -36,17 +36,33 @@ class ExperimentResult:
     title: str
     description: str
     tables: List[SweepTable] = field(default_factory=list)
-    #: Per-policy frequency-residency tables (from instrumented sweeps,
+    #: Per-policy frequency-residency tables (from residency sweeps,
     #: see :attr:`repro.analysis.sweep.SweepConfig.residency_policies`);
     #: rendered in their own section and exported alongside the data.
     residency_tables: List[SweepTable] = field(default_factory=list)
     text_blocks: List[str] = field(default_factory=list)
     checks: List[ShapeCheck] = field(default_factory=list)
     quick: bool = True
+    #: Engine fallback ledger summed over the experiment's sweeps: reason
+    #: -> policy runs the per-run kernel handed to the event engine (see
+    #: :attr:`repro.analysis.sweep.SweepResult.engine_fallbacks`).
+    engine_fallbacks: Dict[str, int] = field(default_factory=dict)
 
     @property
     def all_checks_pass(self) -> bool:
         return all(c.passed for c in self.checks)
+
+    def record_sweep(self, sweep) -> None:
+        """Fold one sweep's engine fallback ledger into this result."""
+        for reason, count in sweep.engine_fallbacks.items():
+            self.engine_fallbacks[reason] = \
+                self.engine_fallbacks.get(reason, 0) + count
+
+    def engine_summary(self, engine: str) -> str:
+        """One line naming the engine and its fallback ledger."""
+        ledger = ", ".join(f"{reason}={count}" for reason, count
+                           in sorted(self.engine_fallbacks.items()))
+        return f"engine: {engine} · engine fallbacks: {ledger or 'none'}"
 
     def check(self, description: str, passed: bool) -> None:
         """Record a shape check."""
@@ -74,8 +90,9 @@ class ExperimentResult:
             lines.append("### Frequency residency")
             lines.append("")
             lines.append("Mean fraction of each run spent at every "
-                         "operating-point frequency (collected with "
-                         "`repro.obs.MetricsCollector`; rows sum to 1).")
+                         "operating-point frequency (measured natively "
+                         "by the run loop, `SimResult.residency`; rows "
+                         "sum to 1).")
             lines.append("")
             for table in self.residency_tables:
                 lines.append(f"#### {table.title}")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import SweepResult, utilization_sweep
 from repro.catalog import panel_sweep_config
 from repro.experiments.common import ExperimentResult
@@ -27,7 +28,7 @@ N_TASKS = 8
 def sweep_for(idle_level: float, quick: bool, workers=1, executor=None,
               cache_dir=None, progress=False,
               steady_fast_path=False,
-              engine="scalar") -> SweepResult:
+              engine=DEFAULT_ENGINE) -> SweepResult:
     """The Fig. 10 sweep for one idle level (catalog panel
     ``fig10/idle-<level>``)."""
     return utilization_sweep(panel_sweep_config(
@@ -38,7 +39,7 @@ def sweep_for(idle_level: float, quick: bool, workers=1, executor=None,
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         progress=False, steady_fast_path=False,
-        engine="scalar") -> ExperimentResult:
+        engine=DEFAULT_ENGINE) -> ExperimentResult:
     """Reproduce Fig. 10 (three panels, one per idle level)."""
     result = ExperimentResult(
         experiment_id="fig10",
@@ -52,6 +53,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         sweep = sweep_for(idle, quick, workers, executor, cache_dir,
                           progress, steady_fast_path, engine)
         sweeps[idle] = sweep
+        result.record_sweep(sweep)
         table = sweep.normalized
         table.title = f"Fig. 10 panel: idle level {idle} (normalized)"
         result.tables.append(table)

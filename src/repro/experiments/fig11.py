@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import SweepResult, utilization_sweep
 from repro.catalog import panel_sweep_config
 from repro.experiments.common import ExperimentResult
@@ -24,14 +25,14 @@ from repro.hw.machine import Machine, machine0, machine1, machine2
 
 N_TASKS = 8
 
-#: Policies instrumented with a MetricsCollector for residency tables.
+#: Policies whose runs report native residency for the residency tables.
 RESIDENCY_POLICIES = ("ccEDF", "laEDF")
 
 
 def sweep_for(machine: Machine, quick: bool, workers=1, executor=None,
               cache_dir=None, progress=False,
               steady_fast_path=False,
-              engine="scalar") -> SweepResult:
+              engine=DEFAULT_ENGINE) -> SweepResult:
     """The Fig. 11 sweep for one machine specification (catalog panel
     ``fig11/<machine name>``)."""
     return utilization_sweep(panel_sweep_config(
@@ -42,7 +43,7 @@ def sweep_for(machine: Machine, quick: bool, workers=1, executor=None,
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         progress=False, steady_fast_path=False,
-        engine="scalar") -> ExperimentResult:
+        engine=DEFAULT_ENGINE) -> ExperimentResult:
     """Reproduce Fig. 11 (three panels, one per machine)."""
     result = ExperimentResult(
         experiment_id="fig11",
@@ -56,6 +57,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         sweep = sweep_for(machine, quick, workers, executor, cache_dir,
                           progress, steady_fast_path, engine)
         sweeps[name] = sweep
+        result.record_sweep(sweep)
         table = sweep.normalized
         table.title = f"Fig. 11 panel: {name} (normalized energy)"
         result.tables.append(table)
@@ -67,7 +69,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
                 res.title = f"Fig. 11 residency: {policy}, {name}"
                 result.residency_tables.append(res)
 
-    # Residency conservation on every machine and instrumented policy.
+    # Residency conservation on every machine and residency policy.
     for name, sweep in sweeps.items():
         for policy, table in sweep.residency.items():
             totals = [sum(series.ys[i] for series in table.series)

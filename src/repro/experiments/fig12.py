@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import SweepResult, utilization_sweep
 from repro.catalog import panel_sweep_config
 from repro.experiments.common import ExperimentResult
@@ -24,7 +25,7 @@ N_TASKS = 8
 def sweep_for(fraction: float, quick: bool, workers=1, executor=None,
               cache_dir=None, progress=False,
               steady_fast_path=False,
-              engine="scalar") -> SweepResult:
+              engine=DEFAULT_ENGINE) -> SweepResult:
     """The Fig. 12 sweep for one demand fraction (catalog panel
     ``fig12/c-<fraction>``)."""
     return utilization_sweep(panel_sweep_config(
@@ -35,7 +36,7 @@ def sweep_for(fraction: float, quick: bool, workers=1, executor=None,
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         progress=False, steady_fast_path=False,
-        engine="scalar") -> ExperimentResult:
+        engine=DEFAULT_ENGINE) -> ExperimentResult:
     """Reproduce Fig. 12 (three panels, one per fraction)."""
     result = ExperimentResult(
         experiment_id="fig12",
@@ -48,6 +49,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         sweep = sweep_for(fraction, quick, workers, executor, cache_dir,
                           progress, steady_fast_path, engine)
         sweeps[fraction] = sweep
+        result.record_sweep(sweep)
         table = sweep.normalized
         table.title = f"Fig. 12 panel: c = {fraction} (normalized energy)"
         result.tables.append(table)

@@ -9,6 +9,7 @@ static ones depend only on the worst case (and ccRM mostly does too).
 
 from __future__ import annotations
 
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import SweepResult, utilization_sweep
 from repro.catalog import panel_sweep_config
 from repro.experiments.common import ExperimentResult
@@ -17,7 +18,7 @@ N_TASKS = 8
 
 
 def sweep_uniform(quick: bool, workers=1, executor=None, cache_dir=None,
-                  progress=False, engine="scalar") -> SweepResult:
+                  progress=False, engine=DEFAULT_ENGINE) -> SweepResult:
     """The Fig. 13 sweep (catalog panel ``fig13/uniform``)."""
     return utilization_sweep(panel_sweep_config(
         "fig13", "uniform", quick=quick, workers=workers,
@@ -26,7 +27,7 @@ def sweep_uniform(quick: bool, workers=1, executor=None, cache_dir=None,
 
 
 def sweep_half(quick: bool, workers=1, executor=None, cache_dir=None,
-               progress=False, engine="scalar") -> SweepResult:
+               progress=False, engine=DEFAULT_ENGINE) -> SweepResult:
     """The comparison sweep at constant c = 0.5, same task sets
     (catalog panel ``fig13/half``)."""
     return utilization_sweep(panel_sweep_config(
@@ -36,7 +37,7 @@ def sweep_half(quick: bool, workers=1, executor=None, cache_dir=None,
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False, engine=DEFAULT_ENGINE) -> ExperimentResult:
     """Reproduce Fig. 13 plus its comparison against c = 0.5."""
     result = ExperimentResult(
         experiment_id="fig13",
@@ -48,6 +49,8 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
                             progress, engine)
     half = sweep_half(quick, workers, executor, cache_dir, progress,
                       engine)
+    result.record_sweep(uniform)
+    result.record_sweep(half)
     uniform.normalized.title = "Fig. 13: uniform demand (normalized energy)"
     half.normalized.title = "comparison: constant c = 0.5 (normalized energy)"
     result.tables.append(uniform.normalized)

@@ -19,6 +19,7 @@ from typing import Tuple
 from dataclasses import replace
 
 from repro.analysis.series import SweepTable
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import SweepResult, utilization_sweep
 from repro.catalog import panel_sweep_config
 from repro.experiments.common import ExperimentResult
@@ -34,7 +35,7 @@ DEMAND = 0.9
 def sweep_platform(quick: bool, workers=1,
                    laptop: LaptopPowerModel = LaptopPowerModel(),
                    executor=None, cache_dir=None,
-                   progress=False, engine="scalar") -> SweepResult:
+                   progress=False, engine=DEFAULT_ENGINE) -> SweepResult:
     """The underlying sweep, with energy calibrated to CPU watts
     (catalog panel ``fig16/k6-laptop``).
 
@@ -69,7 +70,7 @@ def power_table(sweep: SweepResult, laptop: LaptopPowerModel,
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False, engine=DEFAULT_ENGINE) -> ExperimentResult:
     """Reproduce Fig. 16 (system power on the laptop model)."""
     laptop = LaptopPowerModel()
     result = ExperimentResult(
@@ -80,6 +81,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     )
     sweep = sweep_platform(quick, workers, laptop, executor, cache_dir,
                            progress, engine)
+    result.record_sweep(sweep)
     table = power_table(sweep, laptop, include_overhead=True)
     result.tables.append(table)
 

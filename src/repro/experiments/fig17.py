@@ -13,6 +13,7 @@ scale) with these CPU-only curves.
 from __future__ import annotations
 
 from repro.analysis.series import SweepTable
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import SweepResult, utilization_sweep
 from repro.catalog import panel_sweep_config
 from repro.experiments.common import ExperimentResult
@@ -22,7 +23,7 @@ from repro.measure.laptop import LaptopPowerModel
 
 
 def sweep_simulated(quick: bool, workers=1, executor=None, cache_dir=None,
-                    progress=False, engine="scalar") -> SweepResult:
+                    progress=False, engine=DEFAULT_ENGINE) -> SweepResult:
     """The pure-simulation sweep, unit energy scale (catalog panel
     ``fig17/k6-simulated``; shares fig16's seed, so the task sets and
     demands are identical)."""
@@ -33,7 +34,7 @@ def sweep_simulated(quick: bool, workers=1, executor=None, cache_dir=None,
 
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
-        progress=False, engine="scalar") -> ExperimentResult:
+        progress=False, engine=DEFAULT_ENGINE) -> ExperimentResult:
     """Reproduce Fig. 17 and validate it against the Fig. 16 emulation."""
     result = ExperimentResult(
         experiment_id="fig17",
@@ -43,6 +44,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     )
     sim = sweep_simulated(quick, workers, executor, cache_dir, progress,
                           engine)
+    result.record_sweep(sim)
     duration = sim.config.duration
     table = SweepTable(
         title="Fig. 17: simulated CPU power (arbitrary units)",
@@ -58,6 +60,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
     # re-validation costs zero simulations after fig16 has run.
     measured = sweep_platform(quick, workers, laptop, executor, cache_dir,
                               progress, engine)
+    result.record_sweep(measured)
     scale = laptop.cycle_energy_scale_for(k6_2_plus())
     worst_gap = 0.0
     for label in POLICIES:

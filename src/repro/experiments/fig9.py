@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
+from repro.analysis.executor import DEFAULT_ENGINE
 from repro.analysis.sweep import SweepResult, utilization_sweep
 from repro.catalog import panel_sweep_config
 from repro.experiments.common import ExperimentResult
@@ -20,14 +21,14 @@ from repro.experiments.common import ExperimentResult
 TASK_COUNTS: Tuple[int, ...] = (5, 10, 15)
 
 #: Policies whose residency tables the report emits (all paper policies
-#: are instrumented; emitting all 6 per panel would flood the report).
+#: report residency; emitting all 6 per panel would flood the report).
 RESIDENCY_TABLE_POLICIES: Tuple[str, ...] = ("ccEDF", "laEDF")
 
 
 def sweep_for(n_tasks: int, quick: bool, workers=1, executor=None,
               cache_dir=None, progress=False,
               steady_fast_path=False,
-              engine="scalar") -> SweepResult:
+              engine=DEFAULT_ENGINE) -> SweepResult:
     """The Fig. 9 sweep for one task count (catalog panel
     ``fig9/<n>-tasks``)."""
     return utilization_sweep(panel_sweep_config(
@@ -38,7 +39,7 @@ def sweep_for(n_tasks: int, quick: bool, workers=1, executor=None,
 
 def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         progress=False, steady_fast_path=False,
-        engine="scalar") -> ExperimentResult:
+        engine=DEFAULT_ENGINE) -> ExperimentResult:
     """Reproduce Fig. 9 (three panels, one per task count)."""
     result = ExperimentResult(
         experiment_id="fig9",
@@ -51,6 +52,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
         sweep = sweep_for(n_tasks, quick, workers, executor, cache_dir,
                           progress, steady_fast_path, engine)
         sweeps[n_tasks] = sweep
+        result.record_sweep(sweep)
         # The paper's Fig. 9 y-axis is *absolute* energy; include both
         # views (the shape checks run on the normalized one).
         raw = sweep.raw
@@ -101,7 +103,7 @@ def run(quick: bool = True, workers=1, executor=None, cache_dir=None,
                 "(up to end-of-run tail effects)",
                 all(b <= y + 0.05 for b, y in zip(bound_ys, ys)))
 
-    # Residency conservation: at every utilization, each instrumented
+    # Residency conservation: at every utilization, each residency
     # policy's mean per-frequency fractions must sum to exactly 1 (each
     # run's histogram sums to its span by construction, so the means do
     # too — within float accumulation error).

@@ -16,7 +16,8 @@ import inspect
 import os
 from typing import Callable, Dict, List, Optional
 
-from repro.analysis.executor import CellExecutor, resolve_workers
+from repro.analysis.executor import (DEFAULT_ENGINE, CellExecutor,
+                                     resolve_workers)
 from repro.experiments import (fig9, fig10, fig11, fig12, fig13, fig16,
                                fig17, table1, table4, traces)
 from repro.experiments import (ext_battery, ext_future, ext_governors,
@@ -70,7 +71,7 @@ def run_all(quick: bool = True, workers=1,
             cache_dir: Optional[str] = None,
             progress: bool = False,
             steady_fast_path: bool = False,
-            engine: str = "scalar") -> List[ExperimentResult]:
+            engine: str = DEFAULT_ENGINE) -> List[ExperimentResult]:
     """Run every experiment; optionally write reports and CSVs.
 
     With an ``output_dir``, each experiment gets ``<id>.md`` plus CSVs for

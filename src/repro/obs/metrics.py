@@ -19,6 +19,11 @@ The residency histogram is built by telescoping timestamps (each change
 adds ``now - last_change`` to the outgoing point), so the histogram sums
 to the instrumented simulated span *by construction* — the property tests
 in ``tests/obs/`` pin it to the run duration within relative 1e-9.
+The run loops keep the same histogram natively (``residency=True`` on
+:class:`~repro.sim.engine.Simulator` and the batch kernel, read from
+``SimResult.residency``) with these expressions in this order, so a
+caller that needs only residency attaches no collector; the two are
+pinned bit-identical in ``tests/sim/test_native_residency.py``.
 
 Everything lands in a :class:`RunMetrics` record; its
 :meth:`RunMetrics.deterministic_dict` view excludes wall-clock-dependent

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.analysis.aggregate import mean
+from repro.analysis.executor import DEFAULT_ENGINE, ENGINES
 from repro.analysis.sweep import (CellSpec, SweepConfig, SweepContext,
                                   SweepResult, cell_cache_key,
                                   sweep_cell_specs, sweep_context,
@@ -69,7 +70,7 @@ class SweepRequest:
     spec: Optional[PanelSpec] = None
     quick: bool = True
     tenant: str = "default"
-    engine: str = "scalar"
+    engine: str = DEFAULT_ENGINE
     #: Emit a ``partial`` aggregate event every N completed cells
     #: (0 disables partials; warm cells never trigger them).
     stream_every: int = 0
@@ -176,11 +177,11 @@ def parse_request(data: object) -> SweepRequest:
     tenant = payload.get("tenant", "default")
     if not isinstance(tenant, str) or not tenant:
         raise ProtocolError("'tenant' must be a non-empty string")
-    engine = payload.get("engine", "scalar")
-    if engine not in ("scalar", "batch", "block"):
+    engine = payload.get("engine", DEFAULT_ENGINE)
+    if engine not in ENGINES:
         raise ProtocolError(
-            f"unknown engine {engine!r}; expected 'scalar', 'batch', "
-            f"or 'block'")
+            f"unknown engine {engine!r}; expected one of "
+            f"{', '.join(repr(e) for e in ENGINES)}")
     stream_every = payload.get("stream_every", 0)
     if not isinstance(stream_every, int) or isinstance(stream_every, bool) \
             or stream_every < 0:

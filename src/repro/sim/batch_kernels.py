@@ -210,25 +210,35 @@ def _raise_over_unity(speed: float) -> None:
 # kernel eligibility
 # ---------------------------------------------------------------------------
 
-def kernel_supported(policy, on_miss: str = "raise", instrument=None,
-                     admissions: Sequence = (), enforce_wcet: bool = True,
-                     switching=None, **_ignored) -> bool:
-    """Whether :func:`kernel_simulate` replicates this run exactly.
+def kernel_fallback_reason(policy, on_miss: str = "raise", instrument=None,
+                           admissions: Sequence = (),
+                           enforce_wcet: bool = True, switching=None,
+                           **_ignored) -> Optional[str]:
+    """Why :func:`kernel_simulate` cannot replicate this run, or ``None``.
 
     The envelope: a :class:`~repro.core.base.DVSPolicy` without a timer
     (``wakeup_time``), no instrumentation, no dynamic admissions,
     WCET-clamped demands, free switching, and a miss mode that keeps at
-    most one live job per task.  Everything else falls back to the engine
-    (the caller's responsibility — see
-    :func:`repro.analysis.batch.batch_simulate`).
+    most one live job per task.  Native residency (``residency=True``) is
+    inside it.  Everything else falls back to the engine (the caller's
+    responsibility — see :func:`repro.analysis.batch.batch_simulate`,
+    which counts the returned reason).
     """
-    return (isinstance(policy, DVSPolicy)
-            and getattr(policy, "wakeup_time", None) is None
-            and instrument is None
-            and not admissions
-            and enforce_wcet
-            and switching is None
-            and on_miss in KERNEL_MISS_MODES)
+    if not isinstance(policy, DVSPolicy):
+        return "policy-type"
+    if getattr(policy, "wakeup_time", None) is not None:
+        return "wakeup-timer"
+    if instrument is not None:
+        return "instrumented"
+    if admissions:
+        return "admissions"
+    if not enforce_wcet:
+        return "wcet-overrun"
+    if switching is not None:
+        return "switching"
+    if on_miss not in KERNEL_MISS_MODES:
+        return on_miss
+    return None
 
 
 def _overrides(policy, hook_name: str) -> bool:
@@ -275,7 +285,8 @@ class CellKernel(SchedulerView):
                  trace_backend: str = "array",
                  scheduler: Optional[str] = None,
                  instrument=None,
-                 params: Optional[tuple] = None):
+                 params: Optional[tuple] = None,
+                 residency: bool = False):
         if instrument is not None:
             raise SimulationError(
                 "the batch kernel does not support instrumentation; "
@@ -336,6 +347,12 @@ class CellKernel(SchedulerView):
         self._point = machine.fastest
         self._trace = make_trace(record_trace, trace_backend)
         self._finished = False
+        # Native residency, kept exactly like the engine's (see
+        # ``Simulator(residency=True)``): only ``_set_point`` and the wind
+        # down touch it, so the segment loop is unchanged.
+        self._residency: Optional[Dict[float, float]] = (
+            {} if residency else None)
+        self._residency_since = 0.0
 
         # Hook dispatch: bound method when overridden, None when the
         # base-class no-op would run (the engine calls it and discards
@@ -656,6 +673,11 @@ class CellKernel(SchedulerView):
             breakdown.add_execution(acc_point, energy)
         breakdown.idle = idle_energy
         self._final_deadline_check()
+        residency = self._residency
+        if residency is not None:
+            f_last = point.frequency
+            residency[f_last] = (residency.get(f_last, 0.0)
+                                 + (time - self._residency_since))
         return SimResult(
             taskset=self.taskset,
             policy_name=getattr(self.policy, "name",
@@ -667,6 +689,8 @@ class CellKernel(SchedulerView):
             misses=self._misses,
             switches=self._switches,
             trace=trace,
+            span=time,
+            residency=residency,
         )
 
     # ------------------------------------------------------------------
@@ -703,7 +727,12 @@ class CellKernel(SchedulerView):
         return slot
 
     def _set_point(self, new_point) -> None:
-        if new_point == self._point:
+        """The engine's ``_set_point`` without switch halts (outside the
+        envelope).  The hot loop syncs ``self.time`` and ``self._point``
+        before every call, so the residency slice closes at the instant
+        the engine's would."""
+        old_point = self._point
+        if new_point == old_point:
             return
         if new_point not in self.machine:
             raise SimulationError(
@@ -711,6 +740,13 @@ class CellKernel(SchedulerView):
                 f"point of {self.machine.name}")
         self._switches += 1
         self._point = new_point
+        residency = self._residency
+        if residency is not None:
+            now = self.time
+            f_old = old_point.frequency
+            residency[f_old] = (residency.get(f_old, 0.0)
+                                + (now - self._residency_since))
+            self._residency_since = now
 
     def _record_miss(self, job: Job) -> None:
         miss = DeadlineMiss(task_name=job.task.name,
@@ -747,9 +783,10 @@ def kernel_simulate(taskset: TaskSet, machine: Machine, policy,
 
     Accepts the :func:`repro.sim.engine.simulate` keywords inside the
     kernel envelope (``demand``, ``duration``, ``energy_model``,
-    ``on_miss``, ``record_trace``, ``trace_backend``, ``scheduler``) and
-    returns a :class:`~repro.sim.results.SimResult` bit-identical to the
-    engine's.  Callers should gate on :func:`kernel_supported` and fall
-    back to the engine outside the envelope.
+    ``on_miss``, ``record_trace``, ``trace_backend``, ``scheduler``,
+    ``residency``) and returns a :class:`~repro.sim.results.SimResult`
+    bit-identical to the engine's.  Callers should gate on
+    :func:`kernel_fallback_reason` and fall back to the engine outside
+    the envelope.
     """
     return CellKernel(taskset, machine, policy, **kwargs).run()

@@ -252,6 +252,13 @@ class Simulator(SchedulerView):
         are cached as bound-method-or-``None`` at construction, so a
         disabled or partial instrument costs the hot path one pointer
         test per call site; ``None`` (the default) is free.
+    residency:
+        When True, accumulate the frequency-residency histogram natively
+        (``SimResult.residency``, ``{frequency: seconds}``): each switch
+        adds ``now - last_change`` to the outgoing point's frequency and
+        the run end closes the last slice — the expressions, in the order,
+        :class:`~repro.obs.metrics.MetricsCollector` uses, so the two are
+        bit-identical without attaching a collector.
     """
 
     def __init__(self, taskset: TaskSet, machine: Machine, policy,
@@ -265,7 +272,8 @@ class Simulator(SchedulerView):
                  trace_backend: str = "array",
                  admissions: Sequence[Admission] = (),
                  enforce_wcet: bool = True,
-                 instrument=None):
+                 instrument=None,
+                 residency: bool = False):
         if on_miss not in MISS_MODES:
             raise SimulationError(
                 f"on_miss must be one of {MISS_MODES}, got {on_miss!r}")
@@ -308,6 +316,11 @@ class Simulator(SchedulerView):
         self._busy_time = 0.0
         self._idle_time = 0.0
         self._finished = False
+        # Native residency: dict-or-None, so a run that did not ask for it
+        # pays one None test per operating-point switch.
+        self._residency: Optional[Dict[float, float]] = (
+            {} if residency else None)
+        self._residency_since = 0.0
 
         # -- instrumentation (see repro.obs) --
         # Each hook is cached as bound-method-or-None so the hot path pays
@@ -564,6 +577,11 @@ class Simulator(SchedulerView):
             obs_counters.context_switches += ctx_switches
             obs_counters.preemptions += preemptions
         self._final_deadline_check()
+        residency = self._residency
+        if residency is not None:
+            f_last = self._point.frequency
+            residency[f_last] = (residency.get(f_last, 0.0)
+                                 + (self.time - self._residency_since))
         result = SimResult(
             taskset=self.taskset,
             policy_name=getattr(self.policy, "name",
@@ -575,6 +593,8 @@ class Simulator(SchedulerView):
             misses=self._misses,
             switches=self._switches,
             trace=self._trace,
+            span=self.time,
+            residency=residency,
         )
         if obs is not None:
             obs.on_run_end(self, result)
@@ -836,6 +856,14 @@ class Simulator(SchedulerView):
         self._switches += 1
         halt = self.switching.switch_time(old_point, new_point)
         self._point = new_point
+        residency = self._residency
+        if residency is not None:
+            # Before the halt advances time, like the collector hook.
+            now = self.time
+            f_old = old_point.frequency
+            residency[f_old] = (residency.get(f_old, 0.0)
+                                + (now - self._residency_since))
+            self._residency_since = now
         cb = self._obs_freq
         if cb is not None:
             # Fired before the halt advances time, so collectors see the

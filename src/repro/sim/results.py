@@ -83,6 +83,16 @@ class SimResult:
         :class:`~repro.sim.trace.ExecutionTrace` under
         ``trace_backend="segments"``.  The two expose the same reading
         surface.
+    span:
+        Simulated time at which the run loop stopped (the duration, up to
+        the engine's ``1e-9`` horizon tolerance).
+    residency:
+        Frequency residency ``{relative frequency: seconds}`` over
+        ``[0, span]``, present when the run was asked for it
+        (``residency=True``).  Built natively by the run loop with the
+        same telescoping expressions as
+        :class:`~repro.obs.metrics.MetricsCollector`, so it equals the
+        collector's ``residency`` bit for bit and sums to ``span``.
     """
 
     taskset: TaskSet
@@ -94,6 +104,8 @@ class SimResult:
     misses: List[DeadlineMiss]
     switches: int
     trace: Optional[Union[ExecutionTrace, "SimTimeline"]] = None
+    span: Optional[float] = None
+    residency: Optional[Dict[float, float]] = None
 
     @property
     def total_energy(self) -> float:

@@ -27,8 +27,8 @@ from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet
 from repro.sim.batch_kernels import (
     deadline_miss_mask,
+    kernel_fallback_reason,
     kernel_simulate,
-    kernel_supported,
     lowest_at_least_indices,
     release_counts,
     set_numpy_enabled,
@@ -107,7 +107,8 @@ class TestKernelMatchesEngine:
         duration = 3.0 * max(t.period for t in taskset)
         kwargs = dict(duration=duration, on_miss=on_miss, demand=demand,
                       record_trace=record_trace)
-        assert kernel_supported(make_policy(policy), on_miss=on_miss)
+        assert kernel_fallback_reason(make_policy(policy),
+                                      on_miss=on_miss) is None
         try:
             engine = canon(simulate(taskset, MACHINE, make_policy(policy),
                                     **kwargs))
@@ -121,13 +122,23 @@ class TestKernelMatchesEngine:
         assert engine == kernel
 
     def test_kernel_envelope(self):
+        from repro.hw.regulator import SwitchingModel
         policy = make_policy("ccEDF")
-        assert kernel_supported(policy)
-        assert not kernel_supported(policy, on_miss="continue")
-        assert not kernel_supported(policy, instrument=object())
-        assert not kernel_supported(policy, admissions=[object()])
-        assert not kernel_supported(policy, enforce_wcet=False)
-        assert not kernel_supported(object())
+        assert kernel_fallback_reason(policy) is None
+        assert kernel_fallback_reason(policy, residency=True) is None
+        assert kernel_fallback_reason(policy, on_miss="continue") \
+            == "continue"
+        assert kernel_fallback_reason(policy, instrument=object()) \
+            == "instrumented"
+        assert kernel_fallback_reason(policy, admissions=[object()]) \
+            == "admissions"
+        assert kernel_fallback_reason(policy, enforce_wcet=False) \
+            == "wcet-overrun"
+        assert kernel_fallback_reason(
+            policy, switching=SwitchingModel.k6_2_plus()) == "switching"
+        assert kernel_fallback_reason(make_policy("avgDVS")) \
+            == "wakeup-timer"
+        assert kernel_fallback_reason(object()) == "policy-type"
 
 
 class TestBlockKernels:

@@ -197,3 +197,112 @@ class TestDifferentialExecution:
         with CellExecutor(2) as executor:
             shared = utilization_sweep(config, executor=executor)
         assert self._snapshot(shared) == self._snapshot(baseline)
+
+
+def _hex_tables(tables):
+    return {policy: [[y.hex() for y in series.ys]
+                     for series in table.series]
+            for policy, table in sorted(tables.items())}
+
+
+class TestNativeResidencySweep:
+    """Residency panels run on the default engine without collectors."""
+
+    def test_fig9_panel_default_engine(self, monkeypatch):
+        from repro.analysis.executor import DEFAULT_ENGINE
+        from repro.catalog import panel_sweep_config
+        from repro.obs.metrics import MetricsCollector
+
+        built = []
+        original = MetricsCollector.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsCollector, "__init__", counting)
+        config = panel_sweep_config("fig9", "5-tasks", quick=True)
+        assert config.engine == DEFAULT_ENGINE == "batch"
+        fast = utilization_sweep(config)
+        assert fast.engine_fallbacks == {}
+        assert built == []
+
+        reference = utilization_sweep(
+            panel_sweep_config("fig9", "5-tasks", quick=True,
+                               engine="scalar"))
+        assert reference.engine_fallbacks == {}
+        assert built == []
+        assert set(fast.residency) == set(config.residency_policies)
+        assert _hex_tables(fast.residency) == \
+            _hex_tables(reference.residency)
+        assert fast.raw.rows() == reference.raw.rows()
+
+
+class TestEngineFallbackLedger:
+    """Runs the per-run kernel hands to the event engine are counted by
+    reason, and the count survives process and distributed workers."""
+
+    def test_batch_simulate_counts_reasons(self):
+        from repro.analysis.batch import EngineStats, batch_simulate
+        from repro.hw.regulator import SwitchingModel
+        from repro.obs.metrics import MetricsCollector
+
+        stats = EngineStats()
+        ts = example_taskset()
+        run = dict(duration=60.0)
+        batch_simulate(ts, machine0(), make_policy("ccEDF"), stats=stats,
+                       residency=True, **run)
+        assert stats.engine_fallbacks == {}
+        batch_simulate(ts, machine0(), make_policy("ccEDF"), stats=stats,
+                       instrument=MetricsCollector(), **run)
+        batch_simulate(ts, machine0(), make_policy("ccEDF"), stats=stats,
+                       on_miss="continue", **run)
+        batch_simulate(ts, machine0(), make_policy("ccEDF"), stats=stats,
+                       switching=SwitchingModel.k6_2_plus(),
+                       on_miss="drop", **run)
+        batch_simulate(ts, machine0(), make_policy("ccEDF"), stats=stats,
+                       switching=SwitchingModel.k6_2_plus(),
+                       on_miss="drop", **run)
+        assert stats.engine_fallbacks == {"instrumented": 1,
+                                          "continue": 1, "switching": 2}
+
+    @staticmethod
+    def _counting_fallbacks(monkeypatch):
+        """Make every kernel envelope check report a fallback."""
+        from repro.analysis import batch
+
+        monkeypatch.setattr(batch, "kernel_fallback_reason",
+                            lambda policy, **kwargs: "wakeup-timer")
+
+    def test_inline_batch_sweep_reports_ledger(self, monkeypatch):
+        self._counting_fallbacks(monkeypatch)
+        config = SweepConfig(**TINY)
+        result = utilization_sweep(config)
+        cells = len(TINY["utilizations"]) * TINY["n_sets"]
+        runs = cells * len(result.raw.labels()[:-1]) + result.rm_fallbacks
+        assert result.engine_fallbacks == {"wakeup-timer": runs}
+        scalar = utilization_sweep(SweepConfig(**TINY, engine="scalar"))
+        assert scalar.engine_fallbacks == {}
+        assert scalar.raw.rows() == result.raw.rows()
+
+    def test_process_workers_merge_ledger(self):
+        # avgDVS polls on a wakeup timer, outside the kernel envelope.
+        config = dict(TINY, policies=("avgDVS",))
+        serial = utilization_sweep(SweepConfig(**config))
+        parallel = utilization_sweep(SweepConfig(**config, workers=2))
+        cells = len(TINY["utilizations"]) * TINY["n_sets"]
+        assert serial.engine_fallbacks == {"wakeup-timer": cells}
+        assert parallel.engine_fallbacks == serial.engine_fallbacks
+        assert parallel.raw.rows() == serial.raw.rows()
+
+    def test_engine_stats_merge(self):
+        from repro.analysis.batch import EngineStats
+
+        total = EngineStats()
+        part = EngineStats()
+        part.engine_fallback("instrumented")
+        part.fallback("unsupported-policy")
+        total.merge_dict(part.to_dict())
+        total.merge_dict(part.to_dict())
+        assert total.engine_fallbacks == {"instrumented": 2}
+        assert total.fallbacks == {"unsupported-policy": 2}

@@ -10,6 +10,7 @@ exactly rather than raced.
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -131,6 +132,44 @@ class TestHappyPath:
         raw, normalized = reference
         assert result.raw.rows() == raw
         assert result.normalized.rows() == normalized
+
+    def test_engine_fallback_ledger_crosses_the_wire(self):
+        """Runs the kernel hands to the event engine on a remote worker
+        (avgDVS has a wakeup timer) are counted as they are in-process."""
+        config = replace(tiny_config(engine="batch"), policies=("avgDVS",),
+                         utilizations=(0.2, 0.3))
+        local = utilization_sweep(config)
+        executor = RemoteCellExecutor()
+        threads = start_fleet(executor, 1)
+        try:
+            remote = utilization_sweep(config, executor=executor)
+        finally:
+            join_fleet(executor, threads)
+        assert local.engine_fallbacks == {"wakeup-timer": TINY_CELLS}
+        assert remote.engine_fallbacks == local.engine_fallbacks
+        assert remote.raw.rows() == local.raw.rows()
+
+    def test_residency_over_the_wire_bit_identical(self):
+        """Native residency measured on a remote worker's kernel lands in
+        the same tables, bit for bit, as the in-process reference."""
+        config = replace(tiny_config(),
+                         residency_policies=("ccEDF", "laEDF"))
+        reference = utilization_sweep(replace(config, engine="scalar"))
+        executor = RemoteCellExecutor()
+        threads = start_fleet(executor, 1)
+        try:
+            remote = utilization_sweep(config, executor=executor)
+        finally:
+            join_fleet(executor, threads)
+
+        def exact(result):
+            return {policy: [[y.hex() for y in series.ys]
+                             for series in table.series]
+                    for policy, table in result.residency.items()}
+
+        assert set(remote.residency) == {"ccEDF", "laEDF"}
+        assert exact(remote) == exact(reference)
+        assert remote.engine_fallbacks == {}
 
     def test_submit_cell_future_resolves(self):
         from repro.analysis.sweep import sweep_cell_specs, sweep_context

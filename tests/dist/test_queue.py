@@ -52,6 +52,29 @@ class TestLeasing:
         assert len(lease.items) == 2
         assert queue.pending == 3
 
+    def test_waiting_lease_is_sized_by_the_work_that_arrives(self):
+        """A worker that asked while the queue was empty is sized when
+        its lease is granted, not by the empty queue it waited on."""
+        import threading
+
+        queue = LeaseQueue()
+        seen = []
+        box = {}
+
+        def size(pending):
+            seen.append(pending)
+            return pending // 2
+
+        waiter = threading.Thread(
+            target=lambda: box.update(lease=queue.lease("w1", size,
+                                                        timeout=10)))
+        waiter.start()
+        enqueue(queue, 8)
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert seen == [8]
+        assert len(box["lease"].items) == 4
+
     def test_lease_timeout_returns_none_when_empty(self):
         queue = LeaseQueue()
         assert queue.lease("w1", max_cells=1, timeout=0.01) is None

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.batch import DEFAULT_ENGINE
 from repro.analysis.sweep import SweepConfig, sweep_result_labels
 from repro.service.protocol import (ProtocolError, parse_request,
                                     partial_aggregate, resolve_jobs,
@@ -19,7 +20,7 @@ class TestParseRequest:
         assert request.spec is None
         assert request.quick is True
         assert request.tenant == "default"
-        assert request.engine == "scalar"
+        assert request.engine == DEFAULT_ENGINE
         assert request.stream_every == 0
 
     def test_inline_spec_gets_default_label(self):

@@ -302,15 +302,15 @@ class TestEngineMatrixValidation:
 
     @pytest.mark.parametrize("policy_name", PAPER_POLICIES)
     def test_kernel_results_validate(self, policy_name):
-        from repro.sim.batch_kernels import (kernel_simulate,
-                                             kernel_supported)
+        from repro.sim.batch_kernels import (kernel_fallback_reason,
+                                             kernel_simulate)
         ts = TaskSetGenerator(n_tasks=6, utilization=0.8,
                               seed=321).generate()
         policy = make_policy(policy_name)
         if policy_name in ("staticRM", "ccRM") \
                 and not rm_exact_schedulable(ts, 1.0):
             pytest.skip("set not RM-schedulable")
-        assert kernel_supported(policy)
+        assert kernel_fallback_reason(policy) is None
         model = EnergyModel(idle_level=0.3)
         result = kernel_simulate(ts, machine0(), policy, demand=0.7,
                                  duration=200.0, energy_model=model,

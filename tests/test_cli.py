@@ -63,6 +63,50 @@ class TestRun:
         assert list(tmp_path.glob("table1*.csv"))
 
 
+class TestRunEngineSummary:
+    def test_run_prints_engine_and_fallback_ledger(self, capsys,
+                                                   monkeypatch):
+        import repro.cli as cli_module
+        from repro.experiments.common import ExperimentResult
+
+        def fake_run(experiment, **kwargs):
+            result = ExperimentResult(experiment_id=experiment,
+                                      title="t", description="")
+            result.engine_fallbacks = {"wakeup-timer": 3}
+            assert kwargs["engine"] == "batch"
+            return result
+
+        monkeypatch.setattr(cli_module, "run_experiment", fake_run)
+        assert main(["run", "fig9", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "engine: batch · engine fallbacks: wakeup-timer=3" in out
+
+
+class TestSubmitEngine:
+    """``submit`` forwards ``--engine`` whenever it is given, so an
+    explicit reference request is never replaced by the server default."""
+
+    @staticmethod
+    def _sent(monkeypatch, argv):
+        import repro.cli as cli_module
+        sent = []
+        monkeypatch.setattr(cli_module, "_submit_request",
+                            lambda args, request: sent.append(request) or 0)
+        assert main(["submit", "fig9"] + argv) == 0
+        return sent[0]
+
+    def test_explicit_scalar_is_forwarded(self, monkeypatch):
+        request = self._sent(monkeypatch, ["--engine", "scalar"])
+        assert request["engine"] == "scalar"
+
+    def test_explicit_default_is_forwarded(self, monkeypatch):
+        request = self._sent(monkeypatch, ["--engine", "batch"])
+        assert request["engine"] == "batch"
+
+    def test_omitted_engine_leaves_the_server_default(self, monkeypatch):
+        assert "engine" not in self._sent(monkeypatch, [])
+
+
 class TestRunAll:
     def test_run_all_with_output(self, capsys, tmp_path, monkeypatch):
         import repro.experiments.runall as runall_module
