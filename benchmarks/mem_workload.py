@@ -100,12 +100,21 @@ def _child(args) -> int:
     from repro.model.generator import TaskSetGenerator
     from repro.sim.engine import Simulator
 
+    if args.backend == "segments":
+        # The run loops record into a SimTimeline only; the legacy
+        # segment-list recorder goes in at the engine's recorder seam so
+        # the comparison still measures the same run.
+        from repro.sim import engine
+        from repro.sim.trace import ExecutionTrace
+        engine.make_trace = \
+            lambda record: ExecutionTrace() if record else None
+
     taskset = TaskSetGenerator(n_tasks=args.n_tasks,
                                utilization=UTILIZATION,
                                seed=SEED).generate()
     sim = Simulator(taskset, machine0(), CycleConservingEDF(),
                     demand=DEMAND, duration=args.duration, on_miss="drop",
-                    record_trace=True, trace_backend=args.backend)
+                    record_trace=True)
     start = time.perf_counter()
     result = sim.run()
     sim_seconds = time.perf_counter() - start

@@ -23,9 +23,9 @@ import sys
 from typing import Optional
 
 #: Engine names allowed to import numpy on the simulation path (the
-#: batch kernels and the cross-cell block lanes share one lazy seam,
-#: ``repro.sim.batch_kernels.numpy_backend``).
-ARRAY_ENGINES = ("batch", "block")
+#: default engine's per-run kernels and cross-cell lanes share one lazy
+#: seam, ``repro.sim.batch_kernels.numpy_backend``).
+ARRAY_ENGINES = ("batch",)
 
 #: Backwards-compatible alias (pre-block-engine name).
 BATCH_ENGINE = "batch"
@@ -50,5 +50,5 @@ def numpy_violation(label: str, imported: Optional[bool] = None,
     if not imported or engine in ARRAY_ENGINES:
         return None
     return (f"{label}: numpy crept into a scalar path — only the "
-            "batch/block engines may import numpy (a stray ~30 MB import "
+            "batch engine may import numpy (a stray ~30 MB import "
             "skews memory deltas and slows every scalar startup)")

@@ -74,9 +74,9 @@ Regression gates (non-zero exit on violation):
 * ``fig9_sweep`` serial throughput must not regress below 70 % of the
   previous recording *when the previous recording came from the same
   machine fingerprint* (cross-machine wall-clock comparisons are noise);
-* ``fig9_sweep_batch`` batch-engine cold throughput must reach 3x and the
-  cross-cell block engine 10x the scalar engine on a 1000-cell column
-  workload with bit-identical curves (numpy on *and* off, each variant
+* ``fig9_sweep_batch`` default-engine cold throughput must reach 3x on
+  its per-run kernel rung and 10x on its cross-cell lane rung over the
+  scalar engine on a 1000-cell column workload with bit-identical curves (numpy on *and* off, each variant
   recording its measured ``numpy_used`` flag), and a fresh scalar
   subprocess must finish an RTA-free sweep without numpy in
   ``sys.modules`` (the :mod:`numpy_guard` laziness invariant).
@@ -154,13 +154,15 @@ PARALLEL_TARGET_CPUS = 4
 #: same-machine recording.
 SERIAL_REGRESSION_FLOOR = 0.7
 
-#: Cold-sweep throughput floor of the batch engine over the scalar engine
-#: on the 1000-cell column workload.
+#: Cold-sweep throughput floor of the default engine's per-run kernel
+#: rung (lanes held off) over the scalar engine on the 1000-cell column
+#: workload.
 BATCH_TARGET_SPEEDUP = 3.0
 
-#: Cold-sweep throughput floor of the cross-cell block engine over the
-#: scalar engine on the same workload (the lane passes must beat the
-#: per-cell kernels by a wide margin, not just edge them out).
+#: Cold-sweep throughput floor of the default engine as is — 1000 cells
+#: clear the lane floor, so the cross-cell lanes run — over the scalar
+#: engine on the same workload (the lane passes must beat the per-run
+#: kernels by a wide margin, not just edge them out).
 BLOCK_TARGET_SPEEDUP = 10.0
 
 #: Policies for the batch workload: four paper policies whose runs sit
@@ -563,7 +565,7 @@ def _trace_stream():
                                seed=SEED).generate()
     sim = Simulator(taskset, machine0(), make_policy("ccEDF"),
                     demand=DEMAND, duration=3200.0, on_miss="drop",
-                    record_trace=True, trace_backend="array")
+                    record_trace=True)
     source = sim.run().trace
     start, end, cycles, energy, task, op, kind = source.columns()
     names, points = source.task_names, source.points
@@ -585,10 +587,11 @@ def _replay_once(backend, stream):
 
     from repro.obs.metrics import residency_from_trace
     from repro.sim.bound import trace_executed_cycles
-    from repro.sim.timeline import make_trace
+    from repro.sim.timeline import SimTimeline
+    from repro.sim.trace import ExecutionTrace
 
     start = time.perf_counter()
-    trace = make_trace(True, backend)
+    trace = SimTimeline() if backend == "array" else ExecutionTrace()
     record = trace.record
     for piece in stream:
         record(*piece)
@@ -806,41 +809,49 @@ def _scalar_numpy_lazy() -> bool:
     return proc.stdout.strip() == "False"
 
 
-def _timed_array_sweep(base, engine, numpy_on):
-    """One cacheless array-engine sweep with numpy pinned on or off.
+def _timed_array_sweep(base, lanes, numpy_on):
+    """One cacheless default-engine sweep with numpy pinned on or off.
 
-    Returns ``(elapsed, result, numpy_used)`` where ``numpy_used``
-    records whether the kernels actually had numpy available — measured,
-    not assumed, so BENCH_engine.json states which acceleration each
-    number was produced with.
+    ``lanes=False`` raises the lane floor above the sweep, so every cell
+    takes the per-run kernel rung.  Returns ``(elapsed, result,
+    numpy_used)`` where ``numpy_used`` records whether the kernels
+    actually had numpy available — measured, not assumed, so
+    BENCH_engine.json states which acceleration each number was produced
+    with.
     """
+    from repro.sim import block_kernels
     from repro.sim.batch_kernels import numpy_backend, set_numpy_enabled
 
+    floor = block_kernels.BLOCK_MIN_LANES
     set_numpy_enabled(numpy_on)
+    if not lanes:
+        block_kernels.BLOCK_MIN_LANES = sys.maxsize
     try:
         start = time.perf_counter()
-        result = utilization_sweep(SweepConfig(**base, engine=engine))
+        result = utilization_sweep(SweepConfig(**base))
         elapsed = time.perf_counter() - start
         numpy_used = bool(numpy_on and numpy_backend() is not None)
     finally:
+        block_kernels.BLOCK_MIN_LANES = floor
         set_numpy_enabled(True)
     return elapsed, result, numpy_used
 
 
 def bench_fig9_sweep_batch():
-    """Column-scale cold sweep: scalar vs batch vs block engine.
+    """Column-scale cold sweep: scalar vs the default engine's two rungs.
 
     1000 cells (the paper's 10 utilization steps x 100 task sets) under
-    the four kernel-envelope policies, every engine serial and cacheless,
-    so the ratios are pure simulation throughput: the batch engine's
-    per-cell flat-array kernel and the block engine's cross-cell lane
-    passes against the discrete-event engine.  The array engines run with
-    numpy on *and* off (the off runs pin the pure-Python fallback, whose
-    results must stay identical), each variant recording the measured
-    ``numpy_used`` flag.  All runs must produce bit-identical curves —
-    the engines are execution modes, never semantic forks.  The entry
-    also records the scalar-laziness probe (see
-    :data:`_SCALAR_LAZINESS_SNIPPET`).
+    the four kernel-envelope policies, every run serial and cacheless,
+    so the ratios are pure simulation throughput.  The default engine
+    runs twice: with the lane floor raised above the sweep (``batch``:
+    the per-run flat-array kernel) and as is (``block``: 4000 candidate
+    lanes clear the floor, so the cross-cell lane passes run), both
+    against the discrete-event engine.  Each runs with numpy on *and*
+    off (the off runs pin the pure-Python fallback, whose results must
+    stay identical), each variant recording the measured ``numpy_used``
+    flag.  All runs must produce bit-identical curves — the rungs are
+    execution modes, never semantic forks.  The entry also records the
+    scalar-laziness probe (see :data:`_SCALAR_LAZINESS_SNIPPET`).
     """
     base = dict(policies=BATCH_WORKLOAD_POLICIES, n_tasks=8, n_sets=100,
                 duration=400.0, seed=SEED)
@@ -863,13 +874,13 @@ def bench_fig9_sweep_batch():
             "numpy_used": False,
         },
     }
-    for engine in ("batch", "block"):
+    for rung, lanes in (("batch", False), ("block", True)):
         for numpy_on in (True, False):
             elapsed, result, numpy_used = _timed_array_sweep(
-                base, engine, numpy_on)
+                base, lanes, numpy_on)
             if scalar.raw.rows() != result.raw.rows():
                 raise SystemExit(
-                    f"fig9_sweep_batch: {engine} engine "
+                    f"fig9_sweep_batch: {rung} rung "
                     f"(numpy={'on' if numpy_on else 'off'}) curves "
                     "diverged from scalar")
             variant = {
@@ -877,14 +888,13 @@ def bench_fig9_sweep_batch():
                 "cells_per_sec": round(cells / elapsed, 2),
                 "numpy_used": numpy_used,
                 "speedup_vs_scalar": round(scalar_s / elapsed, 2),
-            }
-            if engine == "block":
-                variant["block_cells"] = result.block_cells
-                variant["fallbacks"] = dict(result.block_fallbacks)
-                variant["stage_seconds"] = {
+                "block_cells": result.block_cells,
+                "fallbacks": dict(result.block_fallbacks),
+                "stage_seconds": {
                     key: round(value, 6)
-                    for key, value in result.stage_seconds.items()}
-            key = engine if numpy_on else f"{engine}_no_numpy"
+                    for key, value in result.stage_seconds.items()},
+            }
+            key = rung if numpy_on else f"{rung}_no_numpy"
             entry[key] = variant
     entry["speedup"] = entry["batch"]["speedup_vs_scalar"]
     entry["block_speedup"] = entry["block"]["speedup_vs_scalar"]
@@ -898,18 +908,22 @@ def check_batch_gates(entry):
     failures = []
     if entry["speedup"] < BATCH_TARGET_SPEEDUP:
         failures.append(
-            f"fig9_sweep_batch: batch engine {entry['speedup']}x below "
+            f"fig9_sweep_batch: kernel rung {entry['speedup']}x below "
             f"the {BATCH_TARGET_SPEEDUP:g}x cold-sweep floor at "
             f"{entry['cells']} cells")
     if entry["block_speedup"] < BLOCK_TARGET_SPEEDUP:
         failures.append(
-            f"fig9_sweep_batch: block engine {entry['block_speedup']}x "
+            f"fig9_sweep_batch: lane rung {entry['block_speedup']}x "
             f"below the {BLOCK_TARGET_SPEEDUP:g}x cold-sweep floor at "
             f"{entry['cells']} cells")
     if not entry["block"]["numpy_used"]:
         failures.append(
-            "fig9_sweep_batch: block engine ran without numpy — the "
+            "fig9_sweep_batch: lane rung ran without numpy — the "
             "vectorized lane pass never engaged")
+    if entry["block"]["block_cells"] != entry["cells"]:
+        failures.append(
+            f"fig9_sweep_batch: lanes served {entry['block']['block_cells']}"
+            f" of {entry['cells']} cells above the lane floor")
     for key in ("batch_no_numpy", "block_no_numpy"):
         if entry[key]["numpy_used"]:
             failures.append(
@@ -1084,9 +1098,9 @@ def main(argv=None) -> int:
     batch_entry = bench_fig9_sweep_batch()
     report["workloads"]["fig9_sweep_batch"] = batch_entry
     print(f"[bench]   {batch_entry['cells']} cells: scalar "
-          f"{batch_entry['scalar']['cells_per_sec']:.1f} cells/s vs batch "
+          f"{batch_entry['scalar']['cells_per_sec']:.1f} cells/s vs kernel "
           f"{batch_entry['batch']['cells_per_sec']:.1f} cells/s "
-          f"({batch_entry['speedup']:.2f}x) vs block "
+          f"({batch_entry['speedup']:.2f}x) vs lanes "
           f"{batch_entry['block']['cells_per_sec']:.1f} cells/s "
           f"({batch_entry['block_speedup']:.2f}x), scalar subprocess "
           f"numpy-free: {batch_entry['scalar_numpy_lazy']}", flush=True)

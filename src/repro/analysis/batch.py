@@ -1,45 +1,47 @@
-"""Batch and block execution backends for sweep cells.
+"""The default engine's execution ladder for sweep cells.
 
 The scalar sweep path hands every cell to the discrete-event engine one
-policy run at a time.  This module owns the two array-accelerated
-execution modes that replace it:
+policy run at a time.  The default engine (``engine="batch"``) runs the
+same cells down a three-rung ladder instead, every rung bit-identical to
+the engine:
 
-* ``--engine batch`` walks the sweep's cell stream *column by column* — a
-  column being the run of consecutive cells that share one task-set
-  recipe ``(utilization, gen_seed, n_tasks, bands, demand)`` —
-  materializes each column once into a structure-of-arrays
-  :class:`ColumnBlock` (task parameters with the cell index as the
-  leading axis, per-cell hyperperiods, per-cell frequency-selection
-  state), and runs every cell through the flat-array
-  :class:`~repro.sim.batch_kernels.CellKernel` instead of the engine.
-* ``--engine block`` goes one level further: every *policy run* of every
-  cell becomes one lane of the cross-cell vectorized simulator
-  (:mod:`repro.sim.block_kernels`), and the whole cell stream advances
-  in lockstep array passes over the lane axis.  The planner here runs
-  each policy's real ``setup`` to seed the lane, mirrors the steady
-  fast-path eligibility so warmup windows are batched across the cell
-  axis too, and hands every lane the block engine cannot replicate
-  exactly (unsupported policies, instrumented runs, abandoned lanes)
-  down the fallback ladder: block lane → per-cell kernel → engine.
-  Per-run fallback reasons and per-stage timings are reported through
-  :class:`EngineStats` so silent degradation is visible in sweep results.
+* **lanes** — every *policy run* of every cell becomes one lane of the
+  cross-cell vectorized simulator (:mod:`repro.sim.block_kernels`), and
+  each chunk of the cell stream advances in lockstep array passes over
+  the lane axis.  The planner here runs each policy's real ``setup`` to
+  seed the lane and mirrors the steady fast-path eligibility so warmup
+  windows are batched across the cell axis too.
+* **per-run kernel** — the sweep's cell stream is walked *column by
+  column* (a column being the run of consecutive cells that share one
+  task-set recipe ``(utilization, gen_seed, n_tasks, bands, demand)``),
+  each column is materialized once into a structure-of-arrays
+  :class:`ColumnBlock`, and every run goes through the flat-array
+  :class:`~repro.sim.batch_kernels.CellKernel`.
+* **event engine** — whatever the kernel envelope does not cover.
 
-``batch`` is the sweep layer's default engine (:data:`DEFAULT_ENGINE`);
-``scalar`` stays the explicit reference oracle.
+The lane rung is chosen by size, never by the caller: before anything is
+materialized, :func:`use_lanes` counts the *candidate lanes* —
+cells times the policies that have a lane and keep no residency — and
+the lane pass is planned only when that count reaches
+:data:`~repro.sim.block_kernels.BLOCK_MIN_LANES` (and numpy is there),
+one pass per chunk of consecutive columns.  Below the floor the lockstep
+pass costs more than it saves, and the cells stream straight through the
+per-run kernel.  Every run that does
+not come from a lane is counted by reason (:class:`EngineStats`), so the
+ladder never degrades silently.  ``scalar`` stays the explicit reference
+oracle.
 
 Two invariants anchor the design:
 
-* **Bit identity.**  A batch cell produces the *same outcome dict* as the
-  scalar path: :func:`run_cell_batch` is
-  :func:`repro.analysis.sweep.run_cell` itself, parameterized with
-  :func:`batch_simulate` as its simulation entry point, so the RM
-  fallback logic, the bound, native residency, and the hyperperiod
-  short-circuit compose identically (the short-circuit's warmup windows
-  run on the batch kernel too, then extrapolate per cell exactly as
-  before).  Runs outside the kernel envelope — instrumented runs, timer
-  policies, exotic miss modes — fall back to the engine run by run, and
-  every fallback is counted by reason in
-  :attr:`EngineStats.engine_fallbacks`.
+* **Bit identity.**  A cell produces the *same outcome dict* as the
+  scalar path: every rung runs through
+  :func:`repro.analysis.sweep.run_cell` itself, parameterized with a
+  ``simulate``-shaped entry point (:func:`batch_simulate`, or a lane
+  server over it), so the RM fallback logic, the bound, native
+  residency, and the hyperperiod short-circuit compose identically.
+  Runs outside the kernel envelope — instrumented runs, timer policies,
+  exotic miss modes — fall back to the engine run by run, and every
+  fallback is counted by reason in :attr:`EngineStats.engine_fallbacks`.
 * **Scalar-path laziness.**  Within the simulation layer, numpy only
   ever loads through :func:`repro.sim.batch_kernels.numpy_backend`,
   which nothing on the scalar path calls; the memory benchmark's record
@@ -60,6 +62,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.analysis.executor import DEFAULT_ENGINE, ENGINES  # noqa: F401
 from repro.analysis.sweep import (REFERENCE_POLICY, CellSpec, SweepContext,
                                   materialize_cell, run_cell)
+from repro.analysis.transport import encode_cell
 from repro.core import make_policy
 from repro.core.cycle_conserving import CycleConservingEDF
 from repro.core.no_dvs import NoDVS
@@ -69,7 +72,7 @@ from repro.model.demand import TraceDemand
 from repro.model.task import TaskSet
 from repro.sim import block_kernels
 from repro.sim.batch_kernels import (kernel_fallback_reason, kernel_simulate,
-                                     lowest_at_least_indices, numpy_backend)
+                                     numpy_backend)
 from repro.sim.block_kernels import LaneResult, LaneSpec, SEG_RUN, run_lanes
 from repro.sim.engine import simulate
 from repro.sim.steady import demand_is_hyperperiodic
@@ -137,13 +140,9 @@ class ColumnBlock:
     Every array is laid out with the **cell index as the leading axis**:
     ``periods[c][i]`` is task ``i`` of cell ``c``.  The block carries the
     release/deadline state seed (flattened task parameters consumed by
-    :class:`~repro.sim.batch_kernels.CellKernel`), the per-cell
+    :class:`~repro.sim.batch_kernels.CellKernel`) and the per-cell
     hyperperiod at the context's pinned ``steady_resolution`` (so cache
-    keys and batch-column grouping agree on fast-path eligibility), and
-    the per-cell initial frequency-selection state (the operating-point
-    index a utilization-proportional policy starts from, computed with
-    the vectorized ``lowest_at_least`` kernel — diagnostic block stats,
-    never result-bearing).
+    keys and batch-column grouping agree on fast-path eligibility).
     """
 
     context: SweepContext
@@ -153,7 +152,6 @@ class ColumnBlock:
     periods: List[List[float]]
     wcets: List[List[float]]
     hyperperiods: List[Optional[float]]
-    initial_point_index: List[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.specs)
@@ -167,7 +165,6 @@ def build_column_block(context: SweepContext,
     periods: List[List[float]] = []
     wcets: List[List[float]] = []
     hyperperiods: List[Optional[float]] = []
-    utilizations: List[float] = []
     resolution = getattr(context, "steady_resolution", 1e-6)
     for spec in specs:
         taskset, demand = materialize_cell(context, spec)
@@ -176,16 +173,10 @@ def build_column_block(context: SweepContext,
         periods.append([t.period for t in taskset])
         wcets.append([t.wcet for t in taskset])
         hyperperiods.append(taskset.hyperperiod(resolution=resolution))
-        total = 0.0
-        for task in taskset:
-            total += task.wcet / task.period
-        utilizations.append(total if total <= 1.0 else 1.0)
-    initial = lowest_at_least_indices(context.machine, utilizations)
     return ColumnBlock(context=context, specs=list(specs),
                        tasksets=tasksets, demands=demands,
                        periods=periods, wcets=wcets,
-                       hyperperiods=hyperperiods,
-                       initial_point_index=initial)
+                       hyperperiods=hyperperiods)
 
 
 def run_block_cell(block: ColumnBlock, index: int,
@@ -218,40 +209,22 @@ def run_cell_batch(context: SweepContext, spec: CellSpec,
     return run_block_cell(build_column_block(context, [spec]), 0, stats)
 
 
-def iter_cells_batch(context: SweepContext, specs: Sequence[CellSpec],
-                     stats: Optional["EngineStats"] = None,
-                     ) -> Iterator[Tuple[int, Dict[str, object]]]:
-    """Yield ``(index, outcome)`` for every spec, in submission order.
-
-    The inline (single-process) batch path: consecutive specs sharing a
-    task-set recipe become one :class:`ColumnBlock`, materialized once
-    and executed cell by cell on the kernel.
-    """
-    position = 0
-    for _, group in groupby(specs, key=_column_key):
-        column = list(group)
-        block = build_column_block(context, column)
-        for offset in range(len(column)):
-            yield position, run_block_cell(block, offset, stats)
-            position += 1
-
-
 # ---------------------------------------------------------------------------
-# the block engine (cross-cell vectorized lanes)
+# the lane rung (cross-cell vectorized lanes)
 # ---------------------------------------------------------------------------
 
 @dataclass
 class EngineStats:
-    """Which rung of the ladder ran, for one batch- or block-engine run.
+    """Which rung of the ladder ran, for one default-engine run.
 
     Mirrors the sweep's fast-path counters: ``block_cells`` counts cells
     where at least one policy run was served straight from a vectorized
-    lane; ``fallbacks`` maps a reason to the number of simulation calls
-    the block engine routed down the per-cell ladder instead;
-    ``engine_fallbacks`` maps a reason to the number of runs the per-run
-    kernel handed to the event engine (both array engines).  Travels as
-    a plain dict beside the outcomes from process and distributed
-    workers (:meth:`to_dict` / :meth:`merge_dict`).
+    lane; ``fallbacks`` maps a reason to the number of policy runs that
+    did not come from a lane (``"below-floor"``, ``"instrumented"``,
+    ``"unsupported-policy"``, ...); ``engine_fallbacks`` maps a reason to
+    the number of runs the per-run kernel handed to the event engine.
+    Travels as a plain dict beside the outcomes from process and
+    distributed workers (:meth:`to_dict` / :meth:`merge_dict`).
     """
 
     block_cells: int = 0
@@ -262,8 +235,8 @@ class EngineStats:
     #: Wall seconds spent inside the vectorized lane simulator.
     kernel_seconds: float = 0.0
 
-    def fallback(self, reason: str) -> None:
-        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + 1
+    def fallback(self, reason: str, count: int = 1) -> None:
+        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
 
     def engine_fallback(self, reason: str) -> None:
         self.engine_fallbacks[reason] = \
@@ -299,7 +272,7 @@ class _SetupView:
 
 
 def _lane_traits(policy) -> Optional[Tuple[bool, bool]]:
-    """``(rm_priority, dynamic)`` for a block-supported policy, ``None``
+    """``(rm_priority, dynamic)`` for a lane-supported policy, ``None``
     outside the envelope.
 
     Exact-type checks: the lane simulator hard-codes each policy's
@@ -316,6 +289,22 @@ def _lane_traits(policy) -> Optional[Tuple[bool, bool]]:
     if kind is CycleConservingEDF:
         return False, True
     return None
+
+
+def _policy_lanes(context: SweepContext) -> list:
+    """Per policy of ``context``: its ``(rm_priority, dynamic)`` lane
+    traits when it is a lane candidate, else the reason its runs never
+    take a lane (residency runs keep a histogram lanes do not; other
+    policies have no lane).  The one place that decides candidacy: the
+    size selection counts these and the planner follows them."""
+    lanes = []
+    for name in context.policies:
+        if name in context.residency_policies:
+            lanes.append("instrumented")
+        else:
+            lanes.append(_lane_traits(make_policy(name))
+                         or "unsupported-policy")
+    return lanes
 
 
 @dataclass
@@ -339,12 +328,13 @@ class _LaneOutcome:
         self.trace = trace
 
 
-def _plan_cell(block: ColumnBlock, index: int,
+def _plan_cell(block: ColumnBlock, index: int, lanes: list,
                lane_specs: List[LaneSpec],
                planned_lanes: List[_PlannedLane]) -> Dict[tuple, object]:
     """Plan every policy run of one cell as a lane (or a rejection).
 
-    Returns ``(policy_name, on_miss) -> _PlannedLane | reason-string``.
+    ``lanes`` is the context's :func:`_policy_lanes` table.  Returns
+    ``(policy_name, on_miss) -> _PlannedLane | reason-string``.
     Runs each policy's real ``setup`` so the lane starts from the exact
     state the scalar run would — a setup-time
     :class:`~repro.errors.SchedulabilityError` plans no lane (the
@@ -425,18 +415,14 @@ def _plan_cell(block: ColumnBlock, index: int,
         lane_specs.append(lane)
         planned_lanes.append(planned)
 
-    for name in context.policies:
+    for name, traits in zip(context.policies, lanes):
         policy = make_policy(name)
         key = (getattr(policy, "name", name), "raise")
         if not demand_ok:
             plans[key] = "demand-shape"
             continue
-        if name in context.residency_policies:
-            plans[key] = "instrumented"
-            continue
-        traits = _lane_traits(policy)
-        if traits is None:
-            plans[key] = "unsupported-policy"
+        if isinstance(traits, str):
+            plans[key] = traits
             continue
         rm_priority, dynamic = traits
         add_lane(key, policy, rm_priority, dynamic,
@@ -542,85 +528,138 @@ def _run_planned_cell(block: ColumnBlock, index: int,
     return outcome
 
 
-def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]],
+def _plan_and_execute(cells: List[Tuple[ColumnBlock, int]], lanes: list,
                       stats: EngineStats) -> List[Dict[tuple, object]]:
-    """Plan lanes for every cell, run one vectorized mega-pass over all
-    of them, and attach the results (or a shared fallback reason)."""
+    """Plan lanes for every cell, run one vectorized pass over all of
+    them, and attach the results."""
     context = cells[0][0].context if cells else None
     lane_specs: List[LaneSpec] = []
     planned_lanes: List[_PlannedLane] = []
     started = perf_counter()
-    plans = [_plan_cell(block, index, lane_specs, planned_lanes)
+    plans = [_plan_cell(block, index, lanes, lane_specs, planned_lanes)
              for block, index in cells]
     stats.build_seconds += perf_counter() - started
-
-    results = None
-    if lane_specs and len(lane_specs) >= block_kernels.BLOCK_MIN_LANES:
+    if lane_specs:
         started = perf_counter()
         results = run_lanes(context.machine, context.energy_model(),
                             lane_specs)
         stats.kernel_seconds += perf_counter() - started
-    if results is not None:
-        for planned, result in zip(planned_lanes, results):
+        # ``None`` (numpy switched off mid-sweep) leaves every result
+        # unset: each run then falls back as "kernel-unavailable".
+        for planned, result in zip(planned_lanes, results or ()):
             planned.result = result
-    elif planned_lanes:
-        reason = ("no-numpy" if numpy_backend() is None
-                  else "small-block" if lane_specs
-                  and len(lane_specs) < block_kernels.BLOCK_MIN_LANES
-                  else "kernel-unavailable")
-        for cell_plans in plans:
-            for key, planned in list(cell_plans.items()):
-                if isinstance(planned, _PlannedLane):
-                    cell_plans[key] = reason
     return plans
 
 
-def run_block(block: ColumnBlock,
-              stats: Optional[EngineStats] = None) -> List[Dict[str, object]]:
-    """Run a whole :class:`ColumnBlock` at once on the lane simulator.
+# ---------------------------------------------------------------------------
+# the ladder
+# ---------------------------------------------------------------------------
 
-    The block-at-once sibling of :func:`run_block_cell`: one vectorized
-    pass advances every policy run of every cell, then each cell's
-    outcome dict is assembled by the scalar ``run_cell`` driver from the
-    lane results (identical keys, ordering, fallback and fast-path
-    accounting — bit-identical outcomes by construction).
+def lane_candidates(context: SweepContext, cells: int) -> int:
+    """Candidate lanes of ``cells`` cells of ``context``: cells times the
+    policies that have a lane and keep no residency."""
+    return cells * sum(not isinstance(traits, str)
+                       for traits in _policy_lanes(context))
+
+
+def use_lanes(context: SweepContext, cells: int,
+              stats: Optional[EngineStats] = None) -> bool:
+    """Whether ``cells`` cells of ``context`` take the lane pass.
+
+    Counts the candidate lanes before anything is materialized: below
+    :data:`~repro.sim.block_kernels.BLOCK_MIN_LANES` the lockstep pass
+    costs more than the per-run kernel (and numpy is never imported),
+    and without numpy it cannot run at all.  When the lanes are skipped,
+    each policy run is ledgered once into ``stats``: candidates under
+    ``"below-floor"`` or ``"no-numpy"``, the rest under their own reason.
     """
-    stats = EngineStats() if stats is None else stats
-    cells = [(block, index) for index in range(len(block))]
-    plans = _plan_and_execute(cells, stats)
-    return [_run_planned_cell(block, index, cell_plans, stats)
-            for (_, index), cell_plans in zip(cells, plans)]
+    floor_met = lane_candidates(context, cells) >= \
+        block_kernels.BLOCK_MIN_LANES
+    if floor_met and numpy_backend() is not None:
+        return True
+    if stats is not None:
+        skip = "no-numpy" if floor_met else "below-floor"
+        for traits in _policy_lanes(context):
+            stats.fallback(traits if isinstance(traits, str) else skip,
+                           cells)
+    return False
 
 
-def run_cell_block(context: SweepContext,
-                   spec: CellSpec) -> Dict[str, object]:
-    """Block-engine twin of :func:`~repro.analysis.sweep.run_cell`.
+def _lane_chunks(columns: List[List[CellSpec]],
+                 per_cell: int) -> List[List[List[CellSpec]]]:
+    """Split consecutive columns into the runs one lane pass serves.
 
-    A single cell rarely clears :data:`~repro.sim.block_kernels.
-    BLOCK_MIN_LANES`, so this usually lands on the per-cell kernel
-    fallback — the entry point exists for engine-agnostic callers
-    (:meth:`~repro.analysis.executor.CellExecutor.submit_cell`).
+    Columns join a chunk until it holds
+    :data:`~repro.sim.block_kernels.BLOCK_CHUNK_LANES` candidate lanes; a
+    short tail joins the last chunk.  Each chunk is planned, run and
+    yielded before the next is materialized, so memory stays bounded and
+    cache writes and progress advance chunk by chunk.
     """
-    return run_block(build_column_block(context, [spec]))[0]
+    size = block_kernels.BLOCK_CHUNK_LANES
+    chunks: List[List[List[CellSpec]]] = [[]]
+    lanes = 0
+    for column in columns:
+        if lanes >= size:
+            chunks.append([])
+            lanes = 0
+        chunks[-1].append(column)
+        lanes += len(column) * per_cell
+    if len(chunks) > 1 and lanes < size:
+        chunks[-2].extend(chunks.pop())
+    return chunks
 
 
-def iter_cells_block(context: SweepContext, specs: Sequence[CellSpec],
-                     stats: Optional[EngineStats] = None,
-                     ) -> Iterator[Tuple[int, Dict[str, object]]]:
+def iter_cells(context: SweepContext, specs: Sequence[CellSpec],
+               stats: Optional[EngineStats] = None,
+               ) -> Iterator[Tuple[int, Dict[str, object]]]:
     """Yield ``(index, outcome)`` for every spec, in submission order.
 
-    The inline block path: all columns are materialized and planned up
-    front, one mega-pass advances the lanes of the *entire* sweep
-    simultaneously (the lane axis concatenates columns; lanes pad to the
-    widest task count), and outcomes are then assembled per cell.
+    The default engine's inline ladder.  When the specs clear the lane
+    floor (:func:`use_lanes`), consecutive columns are grouped into
+    chunks of about :data:`~repro.sim.block_kernels.BLOCK_CHUNK_LANES`
+    candidate lanes (:func:`_lane_chunks`); each chunk is
+    materialized and planned, one vectorized pass advances all of its
+    lanes (the lane axis concatenates columns; lanes pad to the widest
+    task count), and its outcomes are yielded per cell.  Otherwise each
+    column is materialized once and its cells stream through the per-run
+    kernel.
     """
     stats = EngineStats() if stats is None else stats
-    cells: List[Tuple[ColumnBlock, int]] = []
-    for _, group in groupby(specs, key=_column_key):
-        column = list(group)
-        block = build_column_block(context, column)
-        cells.extend((block, index) for index in range(len(column)))
-    plans = _plan_and_execute(cells, stats)
-    for position, ((block, index), cell_plans) in \
-            enumerate(zip(cells, plans)):
-        yield position, _run_planned_cell(block, index, cell_plans, stats)
+    columns = [list(group) for _, group in groupby(specs, key=_column_key)]
+    position = 0
+    if not use_lanes(context, len(specs), stats):
+        for column in columns:
+            block = build_column_block(context, column)
+            for offset in range(len(block)):
+                yield position, run_block_cell(block, offset, stats)
+                position += 1
+        return
+    lanes = _policy_lanes(context)
+    for chunk in _lane_chunks(columns, lane_candidates(context, 1)):
+        cells = [(block, index)
+                 for block in (build_column_block(context, column)
+                               for column in chunk)
+                 for index in range(len(block))]
+        plans = _plan_and_execute(cells, lanes, stats)
+        for (block, index), cell_plans in zip(cells, plans):
+            yield position, _run_planned_cell(block, index, cell_plans,
+                                              stats)
+            position += 1
+
+
+def run_encoded(context: SweepContext, specs: Sequence[CellSpec],
+                engine: str,
+                ) -> Tuple[List[bytes], Optional[Dict[str, object]]]:
+    """Run ``specs`` on ``engine`` for a worker process or host.
+
+    Returns the encoded outcomes in spec order plus, on the default
+    engine, its :class:`EngineStats` as a plain dict — stats ride
+    *beside* the outcome payloads, never inside them, because the cell
+    wire format and the shared cell cache are engine-agnostic.
+    """
+    if engine == "scalar":
+        return [encode_cell(run_cell(context, spec)) for spec in specs], None
+    stats = EngineStats()
+    return ([encode_cell(outcome)
+             for _, outcome in iter_cells(context, specs, stats)],
+            stats.to_dict())

@@ -33,6 +33,7 @@ import time
 from concurrent.futures import (FIRST_COMPLETED, Future,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
                                 wait)
+from itertools import groupby
 from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
                     Tuple, Union)
 
@@ -40,10 +41,11 @@ from typing import (Callable, Dict, Iterable, Iterator, Optional, Sequence,
 AUTO_TOKENS = ("auto", "max", "0")
 
 #: Cell execution backends: ``"scalar"`` (the discrete-event engine, the
-#: reference oracle), ``"batch"`` (the per-run flat-array kernel, falling
-#: back to the engine run by run) and ``"block"`` (cross-cell vectorized
-#: lanes over the batch ladder).  All three are bit-identical.
-ENGINES = ("scalar", "batch", "block")
+#: reference oracle) and ``"batch"`` (the ladder of
+#: :mod:`repro.analysis.batch`: cross-cell vectorized lanes when a sweep
+#: is large enough, else the per-run flat-array kernel, falling back to
+#: the engine run by run).  Both are bit-identical.
+ENGINES = ("scalar", "batch")
 
 #: The engine every sweep entry point (the in-process sweep, catalog,
 #: CLI, service protocol, distributed worker ``auto`` hint) uses unless
@@ -111,69 +113,54 @@ def _install_contexts(contexts: Dict[str, object]) -> None:
     _CONTEXTS.update(contexts)
 
 
-def _execute_cell(digest: str, context: Optional[object],
-                  spec: object, encode: bool = False,
-                  engine: str = DEFAULT_ENGINE,
-                  with_stats: bool = False) -> object:
-    """Run one cell in a worker process.
+def _worker_context(digest: str, context: Optional[object]) -> object:
+    """The sweep context ``digest`` names, installed on first sight.
 
     ``context`` is ``None`` when the digest was installed via the pool
     initializer; otherwise the first task carrying a new digest installs
-    it for every later task in this process.  With ``encode`` the outcome
-    crosses back to the driver as the compact columnar wire format of
-    :mod:`repro.analysis.transport` instead of a pickled object graph —
-    one small bytes object per cell.  ``engine`` picks the cell backend
-    (``"scalar"`` = event engine, ``"batch"`` = array kernels; identical
-    outcomes).  With ``with_stats`` (batch engine) the result is
-    ``(outcome, stats_dict)``: the kernel's engine-fallback ledger rides
-    beside the payload, never inside it.
+    it for every later task in this process.
     """
     ctx = _CONTEXTS.get(digest)
     if ctx is None:
         if context is None:  # pragma: no cover - defensive
             raise RuntimeError(f"sweep context {digest} not installed")
         _CONTEXTS[digest] = ctx = context
-    stats = None
+    return ctx
+
+
+def _execute_cell(digest: str, context: Optional[object],
+                  spec: object, encode: bool = False,
+                  engine: str = DEFAULT_ENGINE) -> object:
+    """Run one cell in a worker process (the service's unit of work).
+
+    With ``encode`` the outcome crosses back to the driver as the compact
+    columnar wire format of :mod:`repro.analysis.transport` instead of a
+    pickled object graph — one small bytes object per cell.  ``engine``
+    picks the cell backend (``"scalar"`` = event engine, ``"batch"`` =
+    the per-run kernel — a lone cell never clears the lane floor;
+    identical outcomes).
+    """
+    ctx = _worker_context(digest, context)
     if engine == "batch":
-        from repro.analysis.batch import EngineStats, run_cell_batch
-        stats = EngineStats() if with_stats else None
-        outcome = run_cell_batch(ctx, spec, stats)
-    elif engine == "block":
-        from repro.analysis.batch import run_cell_block
-        outcome = run_cell_block(ctx, spec)
+        from repro.analysis.batch import run_cell_batch
+        outcome = run_cell_batch(ctx, spec)
     else:
         from repro.analysis.sweep import run_cell
         outcome = run_cell(ctx, spec)
     if encode:
         from repro.analysis.transport import encode_cell
         outcome = encode_cell(outcome)
-    if with_stats:
-        return outcome, (stats.to_dict() if stats is not None else None)
     return outcome
 
 
-def _execute_column(digest: str, context: Optional[object],
-                    specs: Sequence) -> Tuple[list, Dict[str, object]]:
-    """Run one whole sweep column on the block engine in a worker.
-
-    The block engine's unit of useful work is the column, not the cell
-    (lanes amortize across it), so the parallel path ships columns.
-    Returns the encoded outcomes (spec order) plus the worker-local
-    :class:`~repro.analysis.batch.EngineStats` as a plain dict — stats
-    ride *beside* the outcome payloads, never inside them, because the
-    cell wire format and the shared cell cache are engine-agnostic.
-    """
-    ctx = _CONTEXTS.get(digest)
-    if ctx is None:
-        if context is None:  # pragma: no cover - defensive
-            raise RuntimeError(f"sweep context {digest} not installed")
-        _CONTEXTS[digest] = ctx = context
-    from repro.analysis.batch import EngineStats, iter_cells_block
-    from repro.analysis.transport import encode_cell
-    stats = EngineStats()
-    encoded = [encode_cell(outcome) for _, outcome
-               in iter_cells_block(ctx, specs, stats=stats)]
-    return encoded, stats.to_dict()
+def _execute_cells(digest: str, context: Optional[object], specs: Sequence,
+                   engine: str = DEFAULT_ENGINE,
+                   ) -> Tuple[list, Optional[Dict[str, object]]]:
+    """Run a sweep's unit of work in a worker process — one cell, or a
+    whole column that clears the lane floor — through
+    :func:`~repro.analysis.batch.run_encoded`."""
+    from repro.analysis.batch import run_encoded
+    return run_encoded(_worker_context(digest, context), specs, engine)
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +290,27 @@ class CellExecutor:
         results stream back as workers finish.  With one worker the cells
         run inline, in submission order.  ``on_result`` fires for every
         outcome before it is yielded (used for cache writes).  ``engine``
-        selects the cell backend: the inline batch path materializes one
-        column block per run of same-recipe specs; the parallel batch
-        path ships the engine choice with each cell (workers build
-        single-cell blocks — the fan-out already parallelizes the
-        column).  The block engine works column-at-once in both modes
-        (the inline path fuses *all* columns into one lane pass; the
-        parallel path ships whole columns to workers).  Both array
-        engines fill ``stats`` (a :class:`~repro.analysis.batch.
-        EngineStats`) with their fallback ledgers — merged from every
-        worker process — when one is passed.
+        selects the cell backend.  On the default engine the inline path
+        is :func:`~repro.analysis.batch.iter_cells` (lanes, chunk by
+        chunk, when the stream clears the lane floor, else column blocks
+        on the per-run kernel); the parallel path ships a column whole
+        when it clears the floor on its own and cell by cell otherwise
+        (the fan-out already parallelizes the column), and each worker
+        runs its unit down the same ladder.  The default engine fills
+        ``stats`` (a :class:`~repro.analysis.batch.EngineStats`) with its
+        ledgers — merged from every worker process — when one is passed.
         """
         if self._shutdown:
             raise RuntimeError("executor already shut down")
         digest = self.register(context)
         if self.workers <= 1 or len(specs) <= 1:
-            if engine == "batch":
-                from repro.analysis.batch import iter_cells_batch
-                stream = iter_cells_batch(context, specs, stats=stats)
-            elif engine == "block":
-                from repro.analysis.batch import iter_cells_block
-                stream = iter_cells_block(context, specs, stats=stats)
-            else:
+            if engine == "scalar":
                 from repro.analysis.sweep import run_cell
                 stream = ((index, run_cell(context, spec))
                           for index, spec in enumerate(specs))
+            else:
+                from repro.analysis.batch import iter_cells
+                stream = iter_cells(context, specs, stats=stats)
             for index, outcome in stream:
                 if on_result is not None:
                     on_result(index, outcome)
@@ -338,53 +321,39 @@ class CellExecutor:
         from repro.analysis.transport import decode_cell
         pool = self._ensure_pool()
         ship = None if digest in self._initializer_contexts else context
-        if engine == "block":
-            from itertools import groupby
-
-            from repro.analysis.batch import _column_key
-            pending = {}
-            base = 0
+        units = [[spec] for spec in specs]
+        if engine != "scalar":
+            from repro.analysis.batch import _column_key, lane_candidates
+            from repro.sim.block_kernels import BLOCK_MIN_LANES
+            units = []
             for _, group in groupby(specs, key=_column_key):
                 column = list(group)
-                pending[pool.submit(_execute_column, digest, ship,
-                                    column)] = base
-                base += len(column)
-            while pending:
-                finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    base = pending.pop(future)
-                    encoded, stats_dict = future.result()
-                    if stats is not None:
-                        stats.merge_dict(stats_dict)
-                    for offset, payload in enumerate(encoded):
-                        self.ipc_bytes += len(payload)
-                        outcome = decode_cell(payload)
-                        index = base + offset
-                        if on_result is not None:
-                            on_result(index, outcome)
-                        if progress is not None:
-                            progress.advance()
-                        yield index, outcome
-            return
-        pending = {
-            pool.submit(_execute_cell, digest, ship, spec, True,
-                        engine, True): index
-            for index, spec in enumerate(specs)}
+                if lane_candidates(context, len(column)) >= BLOCK_MIN_LANES:
+                    units.append(column)
+                else:
+                    units.extend([spec] for spec in column)
+        pending: Dict[Future, int] = {}  # future -> index of its first spec
+        base = 0
+        for unit in units:
+            pending[pool.submit(_execute_cells, digest, ship, unit,
+                                engine)] = base
+            base += len(unit)
         while pending:
             finished, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
-                index = pending.pop(future)
-                outcome, stats_dict = future.result()
+                base = pending.pop(future)
+                payloads, stats_dict = future.result()
                 if stats is not None and stats_dict is not None:
                     stats.merge_dict(stats_dict)
-                if isinstance(outcome, bytes):
-                    self.ipc_bytes += len(outcome)
-                    outcome = decode_cell(outcome)
-                if on_result is not None:
-                    on_result(index, outcome)
-                if progress is not None:
-                    progress.advance()
-                yield index, outcome
+                for offset, payload in enumerate(payloads):
+                    self.ipc_bytes += len(payload)
+                    outcome = decode_cell(payload)
+                    index = base + offset
+                    if on_result is not None:
+                        on_result(index, outcome)
+                    if progress is not None:
+                        progress.advance()
+                    yield index, outcome
 
     def submit_cell(self, context, spec,
                     engine: str = DEFAULT_ENGINE) -> Future:

@@ -143,14 +143,14 @@ class SweepConfig:
     #: defaults.  Narrow or degenerate bands produce commensurable
     #: periods, making cells eligible for the steady fast path.
     period_bands: Optional[Tuple[Tuple[float, float], ...]] = None
-    #: Cell execution backend (one of :data:`ENGINES`): ``"batch"``
-    #: (column-blocked :mod:`repro.analysis.batch` kernels — the
-    #: default), ``"scalar"`` (the discrete-event engine, one cell at a
-    #: time — the reference), or ``"block"`` (cross-cell vectorized
-    #: lanes, :mod:`repro.sim.block_kernels`) — all bit-identical.  The
-    #: engine choice is *not* part of the cell identity — the engines
-    #: share one cache namespace because their outcomes are
-    #: indistinguishable.
+    #: Cell execution backend (one of :data:`ENGINES`): ``"batch"`` (the
+    #: default: the :mod:`repro.analysis.batch` ladder — cross-cell
+    #: vectorized lanes once the sweep clears the lane floor, else
+    #: column-blocked per-run kernels) or ``"scalar"`` (the
+    #: discrete-event engine, one cell at a time — the reference); both
+    #: bit-identical.  The engine choice is *not* part of the cell
+    #: identity — the engines share one cache namespace because their
+    #: outcomes are indistinguishable.
     engine: str = DEFAULT_ENGINE
     #: Hyperperiod detection grid for the steady fast path, pinned once
     #: per sweep so cache keys, fast-path eligibility, and batch-column
@@ -195,22 +195,23 @@ class SweepResult:
     #: "instrumented").
     fast_path_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Cells where at least one policy run was served straight from a
-    #: vectorized lane (``engine="block"`` only) — the block-engine
-    #: mirror of :attr:`fast_path_cells`.
+    #: vectorized lane (``engine="batch"`` only) — the lane mirror of
+    #: :attr:`fast_path_cells`.
     block_cells: int = 0
-    #: Fallback reason -> count of simulation calls the block engine
-    #: routed down the per-cell ladder instead of serving from a lane
-    #: ("unsupported-policy", "demand-shape", "deadline-miss",
-    #: "schedulability", "no-numpy", "small-block", ...).
+    #: Fallback reason -> count of policy runs not served from a lane
+    #: ("below-floor" when the sweep is too small for the lane pass,
+    #: "instrumented", "unsupported-policy", "demand-shape",
+    #: "deadline-miss", "schedulability", "no-numpy", ...;
+    #: ``engine="batch"`` only).
     block_fallbacks: Dict[str, int] = field(default_factory=dict)
     #: Fallback reason -> count of policy runs the per-run kernel handed
     #: to the event engine ("instrumented", "wakeup-timer", "admissions",
-    #: "continue", "switching", ...; ``engine="batch"``/``"block"`` only —
-    #: on ``"scalar"`` the event engine is the choice, not a fallback).
+    #: "continue", "switching", ...; ``engine="batch"`` only — on
+    #: ``"scalar"`` the event engine is the choice, not a fallback).
     engine_fallbacks: Dict[str, int] = field(default_factory=dict)
-    #: Wall seconds per pipeline stage: always ``"aggregate"``; block
-    #: runs add ``"block-build"`` (column materialization + lane
-    #: planning) and ``"block-kernel"`` (the vectorized lane passes).
+    #: Wall seconds per pipeline stage: always ``"aggregate"``; the
+    #: default engine adds ``"block-build"`` (lane planning) and
+    #: ``"block-kernel"`` (the vectorized lane passes).
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     def series(self, label: str, normalized: bool = True) -> Series:
@@ -434,7 +435,6 @@ def utilization_sweep(config: SweepConfig,
     result.retries = getattr(runner, "retries", 0) - retries_before
     if engine_stats is not None:
         result.engine_fallbacks = dict(engine_stats.engine_fallbacks)
-    if config.engine == "block":
         result.block_cells = engine_stats.block_cells
         result.block_fallbacks = dict(engine_stats.fallbacks)
         result.stage_seconds["block-build"] = engine_stats.build_seconds
@@ -631,7 +631,7 @@ def run_cell(context: SweepContext, spec: CellSpec,
                     return fast.total_energy, fast.executed_cycles, None
                 fast_fallbacks[reason] = fast_fallbacks.get(reason, 0) + 1
         # Only residency runs pass the keyword, so every other call keeps
-        # the engine's exact call shape (the block engine serves those
+        # the engine's exact call shape (the lane rung serves those
         # from its lanes).
         extra = {"residency": True} if track_residency else {}
         result = sim(taskset, context.machine, policy,

@@ -101,14 +101,13 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", choices=ENGINES,
                         default=DEFAULT_ENGINE,
                         help="cell execution backend: 'batch' (the "
-                             "default) runs each policy on the per-run "
-                             "array kernel, falling back to the event "
-                             "engine outside its envelope; 'scalar' "
-                             "simulates every cell on the event engine "
-                             "(the reference); 'block' advances every "
-                             "cell of a column at once in cross-cell "
-                             "vectorized lane passes (all bit-identical; "
-                             "default: %(default)s)")
+                             "default) runs cross-cell vectorized lanes "
+                             "when the sweep is large enough, else each "
+                             "policy on the per-run array kernel, falling "
+                             "back to the event engine outside its "
+                             "envelope; 'scalar' simulates every cell on "
+                             "the event engine (the reference; both "
+                             "bit-identical; default: %(default)s)")
 
 
 def _cache_dir_from(args: argparse.Namespace):

@@ -352,7 +352,7 @@ class RemoteCellExecutor:
                                            payloads):
                     self._queue.complete(head.get("lease", -1), ticket,
                                          payload, stats=stats)
-                    stats = None  # merge block stats once per frame
+                    stats = None  # merge engine stats once per frame
             elif kind == "error":
                 self._queue.fail_tickets(
                     head.get("lease", -1), head.get("tickets", ()),

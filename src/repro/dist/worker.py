@@ -3,8 +3,8 @@
 ``rtdvs worker --connect HOST:PORT`` runs :func:`run_worker`: connect to
 a coordinator, announce capabilities (``hello``), then loop
 request → lease → simulate → result until the coordinator says
-``shutdown``.  The worker simulates with the same scalar/batch/block
-engines the in-process path uses — ``--engine auto`` (the default)
+``shutdown``.  The worker simulates with the same scalar/batch engines
+the in-process path uses — ``--engine auto`` (the default)
 follows each lease's engine hint, an explicit engine pins it (the
 operator knows whether this box has numpy, how wide its vector units
 are) — so distributed outcomes are bit-identical by construction, and
@@ -30,11 +30,10 @@ import os
 import socket
 import threading
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.analysis.executor import DEFAULT_ENGINE, ENGINES
-from repro.analysis.sweep import SweepContext, run_cell
-from repro.analysis.transport import encode_cell
+from repro.analysis.sweep import SweepContext
 from repro.dist.wire import (WIRE_VERSION, WireError, context_from_wire,
                              recv_frame, send_frame, specs_from_wire)
 from repro.errors import ReproError
@@ -61,24 +60,6 @@ def parse_connect(text: str) -> Tuple[str, int]:
     except ValueError:
         raise WorkerError(f"invalid port in --connect {text!r}") from None
     return host or "127.0.0.1", port
-
-
-def _simulate_lease(context: SweepContext, specs: List, engine: str
-                    ) -> Tuple[List[bytes], Optional[Dict[str, object]]]:
-    """Run one lease's cells; returns encoded outcomes in spec order
-    (plus the array engines' stats dict when applicable)."""
-    encoded: List[Optional[bytes]] = [None] * len(specs)
-    if engine in ("batch", "block"):
-        from repro.analysis.batch import (EngineStats, iter_cells_batch,
-                                          iter_cells_block)
-        cells = iter_cells_block if engine == "block" else iter_cells_batch
-        stats = EngineStats()
-        for index, outcome in cells(context, specs, stats=stats):
-            encoded[index] = encode_cell(outcome)
-        return encoded, stats.to_dict()
-    for index, spec in enumerate(specs):
-        encoded[index] = encode_cell(run_cell(context, spec))
-    return encoded, None
 
 
 class _Heartbeat:
@@ -162,6 +143,8 @@ def _serve_connection(sock: socket.socket, engine: str,
                       max_leases: Optional[int], stats: Dict[str, object],
                       log) -> bool:
     """One connection's lifetime; ``True`` on orderly shutdown."""
+    # Lazy: the service imports this module and must not load the engine.
+    from repro.analysis.batch import run_encoded
     write_lock = threading.Lock()
     stats["bytes_out"] += send_frame(
         sock, "hello",
@@ -210,8 +193,8 @@ def _serve_connection(sock: socket.socket, engine: str,
         heartbeat = _Heartbeat(sock, write_lock, head["lease"],
                                heartbeat_interval)
         try:
-            encoded, block_stats = _simulate_lease(context, specs,
-                                                   lease_engine)
+            encoded, block_stats = run_encoded(context, specs,
+                                               lease_engine)
         except ReproError as exc:
             stats["errors"] += 1
             heartbeat.stop()

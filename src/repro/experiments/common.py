@@ -47,22 +47,35 @@ class ExperimentResult:
     #: -> policy runs the per-run kernel handed to the event engine (see
     #: :attr:`repro.analysis.sweep.SweepResult.engine_fallbacks`).
     engine_fallbacks: Dict[str, int] = field(default_factory=dict)
+    #: Lane ledger summed over the experiment's sweeps: cells a vectorized
+    #: lane served, and reason -> policy runs that did not come from a
+    #: lane (see :attr:`repro.analysis.sweep.SweepResult.block_fallbacks`).
+    block_cells: int = 0
+    block_fallbacks: Dict[str, int] = field(default_factory=dict)
 
     @property
     def all_checks_pass(self) -> bool:
         return all(c.passed for c in self.checks)
 
     def record_sweep(self, sweep) -> None:
-        """Fold one sweep's engine fallback ledger into this result."""
-        for reason, count in sweep.engine_fallbacks.items():
-            self.engine_fallbacks[reason] = \
-                self.engine_fallbacks.get(reason, 0) + count
+        """Fold one sweep's lane and engine fallback ledgers into this
+        result."""
+        self.block_cells += sweep.block_cells
+        for mine, theirs in ((self.engine_fallbacks, sweep.engine_fallbacks),
+                             (self.block_fallbacks, sweep.block_fallbacks)):
+            for reason, count in theirs.items():
+                mine[reason] = mine.get(reason, 0) + count
 
     def engine_summary(self, engine: str) -> str:
-        """One line naming the engine and its fallback ledger."""
-        ledger = ", ".join(f"{reason}={count}" for reason, count
-                           in sorted(self.engine_fallbacks.items()))
-        return f"engine: {engine} · engine fallbacks: {ledger or 'none'}"
+        """One line naming the engine and its fallback ledgers; the
+        default engine also says how many cells lanes served and why the
+        other runs did not take one."""
+        line = (f"engine: {engine} · engine fallbacks: "
+                f"{_ledger(self.engine_fallbacks)}")
+        if engine == "scalar":
+            return line
+        return (f"{line} · lane cells: {self.block_cells} · "
+                f"lane fallbacks: {_ledger(self.block_fallbacks)}")
 
     def check(self, description: str, passed: bool) -> None:
         """Record a shape check."""
@@ -130,3 +143,9 @@ def _slugify(text: str) -> str:
         elif out and out[-1] != "-":
             out.append("-")
     return "".join(out).strip("-")[:48]
+
+
+def _ledger(counts: Dict[str, int]) -> str:
+    """``reason=count, ...`` in reason order, or ``none``."""
+    return ", ".join(f"{reason}={count}" for reason, count
+                     in sorted(counts.items())) or "none"

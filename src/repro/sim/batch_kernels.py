@@ -75,7 +75,7 @@ _INF = math.inf
 # ---------------------------------------------------------------------------
 
 #: ``RTDVS_NO_NUMPY=1`` pins the pure-Python kernels process-wide (the
-#: numpy-absent CI leg runs the batch/block suites under it); a later
+#: numpy-absent CI leg runs the batch and lane suites under it); a later
 #: ``set_numpy_enabled(True)`` still overrides for targeted tests.
 _numpy_enabled = os.environ.get("RTDVS_NO_NUMPY", "") not in ("1", "true")
 _numpy_module = None
@@ -282,7 +282,6 @@ class CellKernel(SchedulerView):
                  energy_model: Optional[EnergyModel] = None,
                  on_miss: str = "raise",
                  record_trace: bool = False,
-                 trace_backend: str = "array",
                  scheduler: Optional[str] = None,
                  instrument=None,
                  params: Optional[tuple] = None,
@@ -345,7 +344,7 @@ class CellKernel(SchedulerView):
         self._energy = EnergyBreakdown()
         self._switches = 0
         self._point = machine.fastest
-        self._trace = make_trace(record_trace, trace_backend)
+        self._trace = make_trace(record_trace)
         self._finished = False
         # Native residency, kept exactly like the engine's (see
         # ``Simulator(residency=True)``): only ``_set_point`` and the wind
@@ -783,9 +782,9 @@ def kernel_simulate(taskset: TaskSet, machine: Machine, policy,
 
     Accepts the :func:`repro.sim.engine.simulate` keywords inside the
     kernel envelope (``demand``, ``duration``, ``energy_model``,
-    ``on_miss``, ``record_trace``, ``trace_backend``, ``scheduler``,
-    ``residency``) and returns a :class:`~repro.sim.results.SimResult`
-    bit-identical to the engine's.  Callers should gate on
+    ``on_miss``, ``record_trace``, ``scheduler``, ``residency``) and
+    returns a :class:`~repro.sim.results.SimResult` bit-identical to the
+    engine's.  Callers should gate on
     :func:`kernel_fallback_reason` and fall back to the engine outside
     the envelope.
     """

@@ -1,4 +1,4 @@
-"""Cross-cell vectorized lane simulator (the ``--engine block`` tier).
+"""Cross-cell vectorized lane simulator (the default engine's lane rung).
 
 :mod:`repro.sim.batch_kernels` made one *cell* cheap: a flat-array event
 loop that still advances a single simulation at a time, driving the real
@@ -36,10 +36,9 @@ behavior, exceptions included.
 The simulator is numpy-only by construction (a pure-Python lockstep pass
 would just be a slower :class:`CellKernel`): when
 :func:`~repro.sim.batch_kernels.numpy_backend` is unavailable or disabled,
-:func:`run_lanes` returns ``None`` and the caller's fallback ladder
-(:mod:`repro.analysis.batch`) routes every lane through the per-cell
-kernel instead — the pure-Python path of the block engine *is* the batch
-engine.
+:func:`run_lanes` returns ``None``, and the caller's ladder
+(:mod:`repro.analysis.batch`) never plans lanes in the first place — it
+routes every run through the per-cell kernel instead.
 """
 
 from __future__ import annotations
@@ -64,10 +63,17 @@ _PH_DONE = 2
 SEG_RUN = 0
 SEG_IDLE = 1
 
-#: Below this many lanes the vectorized pass costs more than per-cell
-#: kernels (numpy per-op overhead dominates tiny lane counts); callers
-#: should fall back.  Exposed for tests to tighten.
-BLOCK_MIN_LANES = 8
+#: The lane floor: below this many candidate lanes the vectorized pass
+#: costs more than per-cell kernels, so :mod:`repro.analysis.batch`
+#: plans no lanes.  Set from the measured crossover (DESIGN 5e).
+#: Exposed for tests to tighten.
+BLOCK_MIN_LANES = 256
+
+#: Lanes per pass: :mod:`repro.analysis.batch` groups consecutive columns
+#: until they hold this many candidate lanes and runs one pass per group,
+#: bounding memory.  Smaller groups pay the per-iteration overhead more
+#: often, larger ones gain nothing (measured in DESIGN 5e).
+BLOCK_CHUNK_LANES = 4096
 
 #: How often (in lockstep iterations) the pass considers compacting the
 #: working set down to still-running lanes.  Lanes finish at wildly

@@ -79,10 +79,8 @@ class SimResult:
         Number of operating-point changes performed.
     trace:
         Execution trace, present when the run recorded one — a columnar
-        :class:`~repro.sim.timeline.SimTimeline` by default, or a legacy
-        :class:`~repro.sim.trace.ExecutionTrace` under
-        ``trace_backend="segments"``.  The two expose the same reading
-        surface.
+        :class:`~repro.sim.timeline.SimTimeline`, which exposes the same
+        reading surface as :class:`~repro.sim.trace.ExecutionTrace`.
     span:
         Simulated time at which the run loop stopped (the duration, up to
         the engine's ``1e-9`` horizon tolerance).

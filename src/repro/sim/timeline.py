@@ -33,10 +33,7 @@ from typing import Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.hw.operating_point import OperatingPoint
-from repro.sim.trace import ExecutionTrace, Segment, _MIN_SEGMENT
-
-#: Trace backends understood by the engines' ``trace_backend=`` parameter.
-TRACE_BACKENDS = ("array", "segments")
+from repro.sim.trace import Segment, _MIN_SEGMENT
 
 #: Segment kinds in code order (codes index this tuple).
 KINDS = ("run", "idle", "switch")
@@ -46,16 +43,9 @@ _MAGIC = b"STL1"
 _MERGE_EPS = 1e-9  # same tolerance as ExecutionTrace.append
 
 
-def make_trace(record_trace: bool, backend: str = "array"):
-    """Build the trace recorder for an engine (or ``None`` when off)."""
-    if not record_trace:
-        return None
-    if backend == "array":
-        return SimTimeline()
-    if backend == "segments":
-        return ExecutionTrace()
-    raise SimulationError(
-        f"trace_backend must be one of {TRACE_BACKENDS}, got {backend!r}")
+def make_trace(record_trace: bool) -> Optional["SimTimeline"]:
+    """Build the trace recorder for a run loop (or ``None`` when off)."""
+    return SimTimeline() if record_trace else None
 
 
 class SimTimeline:

@@ -217,17 +217,48 @@ class TestBatchSweepIdentity:
     """Sweep-level differential: --engine batch vs --engine scalar."""
 
     def test_unknown_engine_rejected(self):
-        assert ENGINES == ("scalar", "batch", "block")
+        assert ENGINES == ("scalar", "batch")
         with pytest.raises(ReproError, match="unknown sweep engine"):
             utilization_sweep(SweepConfig(engine="vector", **TINY))
 
+    @pytest.mark.parametrize("entry", ["utilization_sweep", "parse_request",
+                                       "run_worker", "cli"])
+    def test_block_engine_rejected(self, entry, capsys):
+        # "block" is no longer an engine name (lanes are a rung of the
+        # default engine): every entry point rejects it with its own
+        # typed error.
+        from repro.cli import main
+        from repro.dist.worker import WorkerError, run_worker
+        from repro.service.protocol import ProtocolError, parse_request
+
+        calls = {
+            "utilization_sweep": (
+                ReproError, "unknown sweep engine 'block'",
+                lambda: utilization_sweep(SweepConfig(engine="block",
+                                                      **TINY))),
+            "parse_request": (
+                ProtocolError, "unknown engine 'block'",
+                lambda: parse_request({"scenario": "fig9",
+                                       "engine": "block"})),
+            "run_worker": (
+                WorkerError, "unknown worker engine 'block'",
+                lambda: run_worker("127.0.0.1", 9, engine="block")),
+            "cli": (SystemExit, "2",
+                    lambda: main(["run", "fig9", "--engine", "block"])),
+        }
+        error, message, call = calls[entry]
+        with pytest.raises(error, match=message):
+            call()
+        if entry == "cli":
+            assert "invalid choice: 'block'" in capsys.readouterr().err
+
     def test_batch_bit_identical(self):
-        scalar = utilization_sweep(SweepConfig(**TINY))
+        scalar = utilization_sweep(SweepConfig(engine="scalar", **TINY))
         batch = utilization_sweep(SweepConfig(engine="batch", **TINY))
         assert snap(scalar) == snap(batch)
 
     def test_batch_bit_identical_numpy_off(self, numpy_off):
-        scalar = utilization_sweep(SweepConfig(**TINY))
+        scalar = utilization_sweep(SweepConfig(engine="scalar", **TINY))
         batch = utilization_sweep(SweepConfig(engine="batch", **TINY))
         assert snap(scalar) == snap(batch)
 
@@ -235,7 +266,7 @@ class TestBatchSweepIdentity:
         # Instrumented policy runs are outside the kernel envelope; the
         # batch engine must fall back per run and still match exactly.
         config = dict(TINY, residency_policies=("ccEDF",))
-        scalar = utilization_sweep(SweepConfig(**config))
+        scalar = utilization_sweep(SweepConfig(engine="scalar", **config))
         batch = utilization_sweep(SweepConfig(engine="batch", **config))
         assert snap(scalar) == snap(batch)
         assert batch.residency  # the instrumented table actually exists
@@ -247,7 +278,7 @@ class TestBatchSweepIdentity:
         bands = ((25.0, 25.0), (50.0, 50.0))
         config = dict(TINY, duration=2000.0, period_bands=bands,
                       steady_fast_path=True)
-        scalar = utilization_sweep(SweepConfig(**config))
+        scalar = utilization_sweep(SweepConfig(engine="scalar", **config))
         batch = utilization_sweep(SweepConfig(engine="batch", **config))
         assert snap(scalar) == snap(batch)
         assert batch.fast_path_cells == len(TINY["utilizations"]) * \
@@ -255,7 +286,7 @@ class TestBatchSweepIdentity:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_batch_workers_and_cache(self, tmp_path, workers):
-        scalar = utilization_sweep(SweepConfig(**TINY))
+        scalar = utilization_sweep(SweepConfig(engine="scalar", **TINY))
         cold = utilization_sweep(SweepConfig(
             engine="batch", workers=workers, cache_dir=str(tmp_path),
             **TINY))
@@ -271,7 +302,8 @@ class TestBatchSweepIdentity:
     def test_engines_share_one_cache_namespace(self, tmp_path):
         # The engine is an execution mode, not part of the cell identity:
         # a batch rerun over a scalar-populated cache must hit every cell.
-        utilization_sweep(SweepConfig(cache_dir=str(tmp_path), **TINY))
+        utilization_sweep(SweepConfig(
+            engine="scalar", cache_dir=str(tmp_path), **TINY))
         warm = utilization_sweep(SweepConfig(
             engine="batch", cache_dir=str(tmp_path), **TINY))
         assert warm.simulated_cells == 0

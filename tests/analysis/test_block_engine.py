@@ -1,21 +1,28 @@
-"""Differential tests for the cross-cell block execution engine.
+"""Differential tests for the lane rung of the default engine.
 
-The block engine advances every policy run of a sweep column as one
-**lane** in lockstep array passes (:mod:`repro.sim.block_kernels`), and
-its one promise is the same as the batch engine's: *bit identity* with
-the scalar discrete-event engine — same energies, same misses, same
-aggregate tables — across numpy-on/numpy-off, fast-path on/off,
-serial/parallel workers, and cold/warm cache.  Anything the array
-program cannot replicate exactly abandons its lane and reruns on the
-per-cell kernel, so divergence is impossible by construction; these
-tests hold that line and pin the fallback accounting.  The throughput
-side lives in ``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
+Once a sweep clears :data:`~repro.sim.block_kernels.BLOCK_MIN_LANES`
+candidate lanes, the default engine advances every policy run of every
+cell as one **lane** in lockstep array passes
+(:mod:`repro.sim.block_kernels`).  Its one promise is the per-run
+kernel's: *bit identity* with the scalar discrete-event engine — same
+energies, same misses, same aggregate tables — across numpy-on/numpy-off,
+fast-path on/off, serial/parallel workers, and cold/warm cache.  Anything
+the array program cannot replicate exactly abandons its lane and reruns
+on the per-run kernel, so divergence is impossible by construction; these
+tests hold that line, pin the fallback accounting and the size-based
+selection.  Most tests lower the floor (the ``tight_lanes`` fixture) so
+small sweeps take the lane rung.  The throughput side lives in
+``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
 """
+
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.analysis.sweep import SweepConfig, utilization_sweep
+from repro.analysis import batch
+from repro.analysis.sweep import (SweepConfig, _build_cell_specs,
+                                  sweep_context, utilization_sweep)
 from repro.hw.energy import EnergyModel
 from repro.hw.machine import machine0
 from repro.sim import block_kernels
@@ -56,6 +63,17 @@ def tight_lanes(monkeypatch):
     monkeypatch.setattr(block_kernels, "COMPACT_INTERVAL", 2)
 
 
+def lanes_available():
+    """Whether the lane pass can run here (numpy present and enabled —
+    the numpy-absent CI leg runs this module without it)."""
+    return numpy_backend() is not None
+
+
+def scalar_sweep(**config):
+    """The reference: the same sweep on the event engine."""
+    return utilization_sweep(SweepConfig(engine="scalar", **config))
+
+
 def snap(result):
     """Every observable aggregate of a SweepResult."""
     return {
@@ -76,29 +94,35 @@ def _lane(periods, wcets, demands, duration=120.0, point=0, **kwargs):
 
 
 class TestBlockSweepIdentity:
-    """Sweep-level differential: --engine block vs scalar vs batch."""
+    """Sweep-level differential: the lane rung vs scalar vs the kernel."""
 
     def test_block_bit_identical(self, tight_lanes):
-        scalar = utilization_sweep(SweepConfig(**TINY))
-        block = utilization_sweep(SweepConfig(engine="block", **TINY))
+        scalar = scalar_sweep(**TINY)
+        block = utilization_sweep(SweepConfig(**TINY))
+        assert (block.block_cells > 0) == lanes_available()
         assert snap(scalar) == snap(block)
 
-    def test_block_matches_batch(self, tight_lanes):
-        batch = utilization_sweep(SweepConfig(engine="batch", **TINY))
-        block = utilization_sweep(SweepConfig(engine="block", **TINY))
-        assert snap(batch) == snap(block)
+    def test_block_matches_batch(self, tight_lanes, monkeypatch):
+        block = utilization_sweep(SweepConfig(**TINY))
+        monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 10 ** 9)
+        kernel = utilization_sweep(SweepConfig(**TINY))
+        assert (block.block_cells > 0) == lanes_available()
+        assert kernel.block_cells == 0
+        assert snap(kernel) == snap(block)
 
     def test_block_bit_identical_numpy_off(self, tight_lanes, numpy_off):
         # Without numpy the lane pass cannot run at all; every cell must
-        # take the per-cell fallback ladder and still match exactly.
-        scalar = utilization_sweep(SweepConfig(**TINY))
-        block = utilization_sweep(SweepConfig(engine="block", **TINY))
+        # take the per-run kernel and still match exactly.
+        scalar = scalar_sweep(**TINY)
+        block = utilization_sweep(SweepConfig(**TINY))
         assert snap(scalar) == snap(block)
         assert block.block_cells == 0
-        assert sum(block.block_fallbacks.values()) > 0
+        assert block.block_fallbacks["no-numpy"] > 0
 
     def test_block_accounting(self, tight_lanes):
-        block = utilization_sweep(SweepConfig(engine="block", **TINY))
+        if not lanes_available():  # pragma: no cover - numpy-less CI
+            pytest.skip("lane simulator needs numpy")
+        block = utilization_sweep(SweepConfig(**TINY))
         cells = len(TINY["utilizations"]) * TINY["n_sets"]
         # Every cell ran lanes for its envelope policies; the two
         # policies outside the lane envelope (ccRM, laEDF) are attributed
@@ -109,16 +133,19 @@ class TestBlockSweepIdentity:
                                             "aggregate"}
         assert all(value >= 0.0 for value in block.stage_seconds.values())
 
-    def test_small_column_falls_back(self):
+    def test_small_column_falls_back(self, monkeypatch):
         # Below BLOCK_MIN_LANES the lane pass would cost more than the
-        # per-cell kernels; the ladder records why and stays identical.
+        # per-run kernels; nothing is planned, the ledger records why and
+        # the tables stay identical.
         config = dict(n_tasks=3, n_sets=1, utilizations=(0.5,),
                       duration=400.0, seed=5, policies=("EDF", "ccEDF"))
-        scalar = utilization_sweep(SweepConfig(**config))
-        block = utilization_sweep(SweepConfig(engine="block", **config))
+        monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 3)
+        monkeypatch.setattr(batch, "_plan_cell", None)  # must not plan
+        scalar = scalar_sweep(**config)
+        block = utilization_sweep(SweepConfig(**config))
         assert snap(scalar) == snap(block)
         assert block.block_cells == 0
-        assert block.block_fallbacks == {"small-block": 2}
+        assert block.block_fallbacks == {"below-floor": 2}
 
     def test_block_composes_with_fast_path(self, tight_lanes):
         # Degenerate commensurable bands make every cell fast-path
@@ -128,42 +155,47 @@ class TestBlockSweepIdentity:
         bands = ((25.0, 25.0), (50.0, 50.0))
         config = dict(TINY, duration=2000.0, period_bands=bands,
                       steady_fast_path=True)
-        scalar = utilization_sweep(SweepConfig(**config))
-        block = utilization_sweep(SweepConfig(engine="block", **config))
+        scalar = scalar_sweep(**config)
+        block = utilization_sweep(SweepConfig(**config))
         assert snap(scalar) == snap(block)
+        assert (block.block_cells > 0) == lanes_available()
         assert block.fast_path_cells == len(TINY["utilizations"]) * \
             TINY["n_sets"]
 
     def test_block_with_residency_instrumentation(self, tight_lanes):
-        # Instrumented runs are outside the lane envelope; they fall back
-        # per run while the rest of the column stays on the lanes.
+        # Residency runs are outside the lane envelope; they take the
+        # per-run kernel while the rest of the column stays on the lanes.
         config = dict(TINY, residency_policies=("ccEDF",))
-        scalar = utilization_sweep(SweepConfig(**config))
-        block = utilization_sweep(SweepConfig(engine="block", **config))
+        scalar = scalar_sweep(**config)
+        block = utilization_sweep(SweepConfig(**config))
         assert snap(scalar) == snap(block)
         assert block.residency
+        assert (block.block_cells > 0) == lanes_available()
+        assert block.block_fallbacks["instrumented"] == \
+            len(TINY["utilizations"]) * TINY["n_sets"]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_workers_and_cache(self, tight_lanes, tmp_path, workers):
-        scalar = utilization_sweep(SweepConfig(**TINY))
+        scalar = scalar_sweep(**TINY)
         cold = utilization_sweep(SweepConfig(
-            engine="block", workers=workers, cache_dir=str(tmp_path),
-            **TINY))
+            workers=workers, cache_dir=str(tmp_path), **TINY))
         warm = utilization_sweep(SweepConfig(
-            engine="block", workers=workers, cache_dir=str(tmp_path),
-            **TINY))
+            workers=workers, cache_dir=str(tmp_path), **TINY))
         assert snap(scalar) == snap(cold) == snap(warm)
         assert cold.simulated_cells == len(TINY["utilizations"]) * \
             TINY["n_sets"]
+        assert cold.block_cells == \
+            (cold.simulated_cells if lanes_available() else 0)
         assert warm.simulated_cells == 0
         assert warm.cache_hits == cold.simulated_cells
 
     def test_engines_share_one_cache_namespace(self, tight_lanes, tmp_path):
         # The engine is an execution mode, not part of the cell identity:
-        # a block rerun over a scalar-populated cache must hit every cell.
-        utilization_sweep(SweepConfig(cache_dir=str(tmp_path), **TINY))
+        # a default-engine rerun over a scalar-populated cache must hit
+        # every cell.
+        scalar_sweep(cache_dir=str(tmp_path), **TINY)
         warm = utilization_sweep(SweepConfig(
-            engine="block", cache_dir=str(tmp_path), **TINY))
+            cache_dir=str(tmp_path), **TINY))
         assert warm.simulated_cells == 0
 
     @RELAXED
@@ -177,9 +209,122 @@ class TestBlockSweepIdentity:
         # either case every *other* cell's figures must be untouched.
         config = dict(n_tasks=3, n_sets=2, utilizations=tuple(utilizations),
                       duration=300.0, seed=seed)
-        scalar = utilization_sweep(SweepConfig(**config))
-        block = utilization_sweep(SweepConfig(engine="block", **config))
+        scalar = scalar_sweep(**config)
+        with mock.patch.object(block_kernels, "BLOCK_MIN_LANES", 1):
+            block = utilization_sweep(SweepConfig(**config))
         assert snap(scalar) == snap(block)
+
+
+class TestLaneSelection:
+    """The lane rung is chosen by the candidate-lane count alone: cells
+    times the policies that have a lane and keep no residency."""
+
+    #: 2 cells x 4 lane candidates (EDF, staticRM, staticEDF, ccEDF).
+    CONFIG = dict(n_tasks=3, n_sets=1, utilizations=(0.4, 0.7),
+                  duration=400.0, seed=11)
+    CANDIDATES = 8
+
+    @pytest.mark.parametrize("numpy_on", [True, False],
+                             ids=["numpy", "no-numpy"])
+    def test_floor_selects_the_lane_rung(self, monkeypatch, numpy_on):
+        scalar = scalar_sweep(**self.CONFIG)
+        cells = len(self.CONFIG["utilizations"])
+        planned = []
+        plan_cell = batch._plan_cell
+
+        def spy(*args, **kwargs):
+            planned.append(args[1])
+            return plan_cell(*args, **kwargs)
+
+        monkeypatch.setattr(batch, "_plan_cell", spy)
+        set_numpy_enabled(numpy_on)
+        try:
+            lanes = lanes_available()
+            monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES",
+                                self.CANDIDATES + 1)
+            below = utilization_sweep(SweepConfig(**self.CONFIG))
+            assert planned == []
+            monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES",
+                                self.CANDIDATES)
+            at = utilization_sweep(SweepConfig(**self.CONFIG))
+        finally:
+            set_numpy_enabled(True)
+        assert snap(below) == snap(scalar) == snap(at)
+        assert below.block_cells == 0
+        assert below.block_fallbacks == {
+            "below-floor": self.CANDIDATES, "unsupported-policy": 2 * cells}
+        if lanes:
+            assert len(planned) == cells
+            assert at.block_cells == cells
+            assert "below-floor" not in at.block_fallbacks
+        else:
+            assert planned == []
+            assert at.block_cells == 0
+            assert at.block_fallbacks["no-numpy"] == self.CANDIDATES
+
+    def test_lane_pass_streams_chunk_by_chunk(self, monkeypatch):
+        # Four one-cell columns, four candidates each, chunks of 8 lanes:
+        # the lanes run in two passes of two columns, and each chunk's
+        # outcomes are yielded before the next chunk is materialized.
+        if not lanes_available():  # pragma: no cover - numpy-less CI
+            pytest.skip("lane simulator needs numpy")
+        config = dict(self.CONFIG, utilizations=(0.3, 0.5, 0.7, 0.9))
+        monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 1)
+        monkeypatch.setattr(block_kernels, "BLOCK_CHUNK_LANES",
+                            self.CANDIDATES)
+        events = []
+        build, lanes = batch.build_column_block, batch.run_lanes
+
+        def spy_build(*args):
+            events.append("build")
+            return build(*args)
+
+        def spy_lanes(*args):
+            events.append("lanes")
+            return lanes(*args)
+
+        monkeypatch.setattr(batch, "build_column_block", spy_build)
+        monkeypatch.setattr(batch, "run_lanes", spy_lanes)
+        sweep_config = SweepConfig(**config)
+        stats = batch.EngineStats()
+        for index, _ in batch.iter_cells(
+                sweep_context(sweep_config),
+                _build_cell_specs(sweep_config), stats):
+            events.append(index)
+        chunk = ["build", "build", "lanes"]
+        assert events == chunk + [0, 1] + chunk + [2, 3]
+        assert stats.block_cells == 4
+        assert snap(utilization_sweep(sweep_config)) == \
+            snap(scalar_sweep(**config))
+
+    @pytest.mark.parametrize("floor", [1, 10 ** 9],
+                             ids=["whole-columns", "cell-by-cell"])
+    def test_pool_ledger_matches_inline(self, monkeypatch, floor):
+        # Whole columns or single cells, each worker ledgers its own unit
+        # once: the pooled ledger is the inline one.
+        monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", floor)
+        inline = utilization_sweep(SweepConfig(**self.CONFIG))
+        pooled = utilization_sweep(SweepConfig(workers=2, **self.CONFIG))
+        assert snap(pooled) == snap(inline)
+        assert pooled.block_cells == inline.block_cells
+        assert pooled.block_fallbacks == inline.block_fallbacks
+
+    def test_short_tail_joins_the_last_chunk(self, monkeypatch):
+        monkeypatch.setattr(block_kernels, "BLOCK_CHUNK_LANES", 4)
+        columns = [["a"] * 2, ["b"], ["c"] * 2, ["d"]]
+        assert batch._lane_chunks(columns, per_cell=2) == \
+            [[["a"] * 2], [["b"], ["c"] * 2, ["d"]]]
+
+    def test_residency_policies_are_not_candidates(self, monkeypatch):
+        # Every fig9 run keeps residency, so no sweep of it ever plans.
+        monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 1)
+        config = dict(self.CONFIG, policies=("EDF", "ccEDF"),
+                      residency_policies=("EDF", "ccEDF"))
+        result = utilization_sweep(SweepConfig(**config))
+        cells = len(self.CONFIG["utilizations"])
+        assert result.block_cells == 0
+        assert result.block_fallbacks == {"instrumented": 2 * cells}
+        assert snap(result) == snap(scalar_sweep(**config))
 
 
 class TestLaneIsolation:

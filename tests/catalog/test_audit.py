@@ -28,6 +28,8 @@ from repro.sim.engine import simulate
 from repro.sim.results import DeadlineMiss
 from repro.sim.trace import Segment
 
+from tests.conftest import segment_list
+
 SCENARIO = Scenario(
     name="unit-audit",
     title="in-test audit scenario",
@@ -122,7 +124,8 @@ class TestTraceMutations:
         result = simulate(example_taskset(), machine0(),
                           make_policy("ccEDF"), demand=0.7,
                           duration=112.0, energy_model=model,
-                          record_trace=True, trace_backend="segments")
+                          record_trace=True)
+        result.trace = segment_list(result.trace)
         return result, model
 
     def test_clean_run_audits_clean(self, run):

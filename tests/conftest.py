@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro.hw.machine import k6_2_plus, machine0, machine1, machine2
 from repro.model.task import Task, TaskSet, example_taskset
+from repro.sim.trace import ExecutionTrace
 
 
 @pytest.fixture
@@ -69,3 +70,11 @@ tasksets = st.builds(
 #: Demand fractions for ConstantFractionDemand.
 fractions = st.floats(min_value=0.05, max_value=1.0,
                       allow_nan=False, allow_infinity=False)
+
+
+def segment_list(timeline) -> ExecutionTrace:
+    """The reference :class:`ExecutionTrace` of a run's recorded
+    timeline: the same maximal segments, held as one object each."""
+    trace = ExecutionTrace()
+    trace._segments.extend(timeline)
+    return trace

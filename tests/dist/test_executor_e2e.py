@@ -18,6 +18,8 @@ from repro.analysis.sweep import utilization_sweep
 from repro.catalog.schema import PanelSpec
 from repro.dist import RemoteCellExecutor, run_worker
 from repro.dist.wire import WIRE_VERSION, recv_frame, send_frame
+from repro.sim import block_kernels
+from repro.sim.batch_kernels import numpy_backend
 
 TINY_SPEC = {"n_tasks": 3, "n_sets_quick": 2, "duration_quick": 100.0,
              "utilizations": [0.5, 0.9]}
@@ -31,8 +33,9 @@ def tiny_config(**overrides):
 
 @pytest.fixture(scope="module")
 def reference():
-    """In-process sweep of the tiny config (the bit-identity baseline)."""
-    result = utilization_sweep(tiny_config())
+    """In-process sweep of the tiny config on the reference engine (the
+    bit-identity baseline)."""
+    result = utilization_sweep(tiny_config(engine="scalar"))
     return result.raw.rows(), result.normalized.rows()
 
 
@@ -121,17 +124,23 @@ class TestHappyPath:
         assert executor.duplicates_dropped == 0
         assert executor.ipc_bytes > 0
 
-    def test_block_engine_over_the_wire_bit_identical(self, reference):
+    def test_block_engine_over_the_wire_bit_identical(self, reference,
+                                                      monkeypatch):
+        """With the lane floor lowered, a remote worker's lease takes the
+        lane rung; outcomes and the lane ledger cross the wire."""
+        monkeypatch.setattr(block_kernels, "BLOCK_MIN_LANES", 1)
         executor = RemoteCellExecutor()
         threads = start_fleet(executor, 1)
         try:
-            result = utilization_sweep(tiny_config(engine="block"),
-                                       executor=executor)
+            result = utilization_sweep(tiny_config(), executor=executor)
         finally:
             join_fleet(executor, threads)
         raw, normalized = reference
         assert result.raw.rows() == raw
         assert result.normalized.rows() == normalized
+        lanes = numpy_backend() is not None  # off in the numpy-absent leg
+        assert (result.block_cells > 0) == lanes
+        assert sum(result.block_fallbacks.values()) > 0
 
     def test_engine_fallback_ledger_crosses_the_wire(self):
         """Runs the kernel hands to the event engine on a remote worker

@@ -1,19 +1,21 @@
 """Tests for the columnar :class:`~repro.sim.timeline.SimTimeline`.
 
-Three properties anchor the array backend:
+Three properties anchor the columnar timeline:
 
 * the binary codec is lossless — ``from_bytes(to_bytes(t)) == t``
   bit-for-bit, for arbitrary recorded slice streams;
-* the lazy ``Segment`` view equals what the legacy segment-list backend
-  records eagerly, on real runs of all three engines;
-* switching backends never changes a simulation — ``SimResult`` energy,
-  switches, jobs and misses are bit-identical, and sweep curves stay
-  bit-identical across worker counts and cache states.
+* the lazy ``Segment`` view equals what the reference segment list
+  (:class:`~repro.sim.trace.ExecutionTrace`) records eagerly from the same
+  ``record()`` stream, on real runs of all three engines;
+* recording never changes a simulation — ``SimResult`` energy, switches,
+  jobs and misses are bit-identical with and without a trace, and sweep
+  curves stay bit-identical across worker counts and cache states.
 """
 
 import sys
 import tempfile
 from array import array
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +26,7 @@ from repro.errors import SimulationError
 from repro.hw.machine import machine0
 from repro.hw.operating_point import OperatingPoint
 from repro.model.generator import TaskSetGenerator
+from repro.sim import engine as engine_module, ticksim as ticksim_module
 from repro.sim.baseline import BaselineSimulator
 from repro.sim.engine import Simulator
 from repro.sim.ticksim import TickSimulator
@@ -121,22 +124,39 @@ class TestCodecRoundTrip:
 # lazy view vs eager segment list
 # ---------------------------------------------------------------------------
 
-def _paired_runs(engine):
-    """(segments-backend result, array-backend result) for one engine."""
-    results = []
-    for backend in ("segments", "array"):
-        taskset = TaskSetGenerator(n_tasks=8, utilization=0.7,
-                                   seed=42).generate()
+class TeeTimeline(SimTimeline):
+    """A timeline that also feeds every ``record()`` call, unchanged, to
+    an eager :class:`ExecutionTrace` — one stream, two recorders."""
+
+    __slots__ = ("mirror",)
+
+    def __init__(self):
+        super().__init__()
+        self.mirror = ExecutionTrace()
+
+    def record(self, *args, **kwargs):
+        self.mirror.record(*args, **kwargs)
+        SimTimeline.record(self, *args, **kwargs)
+
+
+def _run(engine, record_trace=True):
+    """One run of ``engine``; a recorded trace is a :class:`TeeTimeline`."""
+    taskset = TaskSetGenerator(n_tasks=8, utilization=0.7,
+                               seed=42).generate()
+    module = ticksim_module if engine is TickSimulator else engine_module
+    tee = mock.patch.object(
+        module, "make_trace",
+        lambda record: TeeTimeline() if record else None)
+    with tee:
         if engine is TickSimulator:
             sim = TickSimulator(taskset, MACHINE, CycleConservingEDF(),
                                 demand=0.8, duration=200.0, tick=0.05,
-                                record_trace=True, trace_backend=backend)
+                                record_trace=record_trace)
         else:
             sim = engine(taskset, MACHINE, CycleConservingEDF(),
                          demand=0.8, duration=200.0, on_miss="drop",
-                         record_trace=True, trace_backend=backend)
-        results.append(sim.run())
-    return results
+                         record_trace=record_trace)
+        return sim.run()
 
 
 ENGINES = (Simulator, BaselineSimulator, TickSimulator)
@@ -146,11 +166,11 @@ class TestLazyViewMatchesEagerList:
     @pytest.mark.parametrize("engine", ENGINES,
                              ids=lambda e: e.__name__)
     def test_segments_identical(self, engine):
-        eager, lazy = _paired_runs(engine)
-        assert isinstance(eager.trace, ExecutionTrace)
-        assert isinstance(lazy.trace, SimTimeline)
-        assert len(eager.trace) == len(lazy.trace)
-        for a, b in zip(eager.trace, lazy.trace):
+        lazy = _run(engine).trace
+        eager = lazy.mirror
+        assert isinstance(lazy, TeeTimeline)
+        assert len(eager) == len(lazy) > 0
+        for a, b in zip(eager, lazy):
             assert a == b  # frozen dataclass: every field bit-equal
 
     def test_view_is_cached_until_the_next_append(self):
@@ -164,14 +184,14 @@ class TestLazyViewMatchesEagerList:
 
 
 # ---------------------------------------------------------------------------
-# backend never changes the simulation
+# recording never changes the simulation
 # ---------------------------------------------------------------------------
 
 class TestBackendBitIdentity:
     @pytest.mark.parametrize("engine", ENGINES,
                              ids=lambda e: e.__name__)
     def test_simresult_identical(self, engine):
-        a, b = _paired_runs(engine)
+        a, b = _run(engine, record_trace=False), _run(engine)
         if engine is TickSimulator:
             assert a.energy == b.energy
             assert len(a.jobs) == len(b.jobs)
@@ -213,8 +233,5 @@ class TestExecutorDifferential:
 
 class TestMakeTrace:
     def test_backends(self):
-        assert make_trace(False, "array") is None
-        assert isinstance(make_trace(True, "array"), SimTimeline)
-        assert isinstance(make_trace(True, "segments"), ExecutionTrace)
-        with pytest.raises(SimulationError):
-            make_trace(True, "linkedlist")
+        assert make_trace(False) is None
+        assert type(make_trace(True)) is SimTimeline

@@ -20,17 +20,21 @@ from repro.sim.trace import ExecutionTrace, Segment
 from repro.sim.validation import (Violation, rederive_counters,
                                   validate_schedule)
 
-from tests.conftest import fractions, tasksets
+from tests.conftest import fractions, segment_list, tasksets
 
 
 def run_traced(policy_name, ts=None, demand=0.7, duration=112.0,
-               idle_level=0.0, trace_backend="array"):
+               idle_level=0.0, trace="array"):
+    """One traced run; ``trace="segments"`` swaps the recorded timeline
+    for the equivalent :class:`ExecutionTrace`."""
     ts = ts or example_taskset()
     model = EnergyModel(idle_level=idle_level)
     result = simulate(ts, machine0(), make_policy(policy_name),
                       demand=demand, duration=duration,
                       energy_model=model, record_trace=True,
-                      trace_backend=trace_backend, on_miss="drop")
+                      on_miss="drop")
+    if trace == "segments":
+        result.trace = segment_list(result.trace)
     return result, model
 
 
@@ -66,7 +70,7 @@ class TestViolationDetection:
 
     @pytest.fixture(params=["array", "segments"])
     def valid(self, request):
-        return run_traced("ccEDF", trace_backend=request.param)
+        return run_traced("ccEDF", trace=request.param)
 
     def _kinds(self, result, model):
         return {v.kind for v in validate_schedule(result, model)}

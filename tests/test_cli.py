@@ -81,6 +81,38 @@ class TestRunEngineSummary:
         out = capsys.readouterr().out
         assert "engine: batch · engine fallbacks: wakeup-timer=3" in out
 
+    def test_run_prints_the_lane_ledger(self, capsys, monkeypatch):
+        """The summary says how many cells lanes served and why the other
+        runs took none — fig9 keeps residency on every policy, so no lane
+        ever runs there and the line says so."""
+        from types import SimpleNamespace
+
+        import repro.cli as cli_module
+        from repro.experiments.common import ExperimentResult
+
+        def sweep(cells, fallbacks):
+            return SimpleNamespace(engine_fallbacks={}, block_cells=cells,
+                                   block_fallbacks=fallbacks)
+
+        def fake_run(experiment, **kwargs):
+            result = ExperimentResult(experiment_id=experiment,
+                                      title="t", description="")
+            result.record_sweep(sweep(0, {"instrumented": 480}))
+            result.record_sweep(sweep(5, {"instrumented": 20,
+                                          "below-floor": 3}))
+            return result
+
+        monkeypatch.setattr(cli_module, "run_experiment", fake_run)
+        assert main(["run", "fig9", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert ("engine: batch · engine fallbacks: none · lane cells: 5 · "
+                "lane fallbacks: below-floor=3, instrumented=500") in out
+        assert main(["run", "fig9", "--no-cache", "--engine", "scalar"]) \
+            == 0
+        out = capsys.readouterr().out
+        assert "engine: scalar · engine fallbacks: none\n" in out
+        assert "lane" not in out.splitlines()[-1]
+
 
 class TestSubmitEngine:
     """``submit`` forwards ``--engine`` whenever it is given, so an
