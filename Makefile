@@ -67,13 +67,17 @@ check:
 	$(MAKE) bench-dist
 
 # The fast-path differential suites: incremental-vs-from-scratch policy
-# state must produce bit-identical SimResults, and the hyperperiod
-# short-circuit must match full simulation to relative 1e-9.
+# state must produce bit-identical SimResults (on the event engine and on
+# the per-run kernel), and the hyperperiod short-circuit must match full
+# simulation to relative 1e-9.  The policy differentials run a second
+# time without numpy, as CI's numpy-absent leg does.
 test-fast-path:
 	PYTHONPATH=src python -m pytest -q \
 	  tests/core/test_incremental_state.py \
 	  tests/sim/test_steady_fast_path.py \
 	  tests/analysis/test_sweep_fast_path.py
+	RTDVS_NO_NUMPY=1 PYTHONPATH=src python -m pytest -q \
+	  tests/core/test_incremental_state.py
 
 # Full-catalog trace audit at the small-N CI profile: every scenario's
 # cells are replayed with traces, counters/energy re-derived, aggregates

@@ -47,9 +47,10 @@ Incremental mode
 Two aggregates are maintained instead of recomputed:
 
 * **RM priority order** — ``allocate_cycles`` walks tasks by period.  The
-  sorted order only changes when the task set changes, so it is cached and
-  invalidated by the task-set hooks (guarded by a task-set identity check,
-  since :class:`~repro.model.task.TaskSet` is immutable).
+  sorted order only changes when the task set changes, so it is cached as
+  ``(task-set index, quota)`` pairs and invalidated by the task-set hooks
+  (guarded by a task-set identity check, since
+  :class:`~repro.model.task.TaskSet` is immutable).
 * **Active quota set** — ``select_frequency`` needs ``Σd_i``, but between
   allocations only tasks that were granted a non-zero allotment can
   contribute: every other task's lazily-decremented quota is *exactly*
@@ -60,8 +61,16 @@ Two aggregates are maintained instead of recomputed:
   ``x >= 0.0``), so the reduced sum is bit-identical to the full sweep —
   pinned by the differential tests.
 
+Both walks read the view's index-addressed
+:meth:`~repro.sim.engine.SchedulerView.c_left_slots` and
+:meth:`~repro.sim.engine.SchedulerView.job_slots` once per callback (on
+the per-run kernel, its live lists) rather than resolving each task's job
+through the per-task accessors.  The quota arithmetic keeps the
+reference's expressions in the same order; ``max(0.0, x)`` and
+``min(a, b)`` are written as conditionals that return the same values.
+
 ``strict=True`` cross-checks the reduced sum against the full task-set
-sweep at every selection and raises
+sweep of the same quota arithmetic at every selection and raises
 :class:`~repro.errors.PolicyStateError` on any difference (the equality
 is exact, so the tolerance is zero).
 """
@@ -69,7 +78,8 @@ is exact, so the tolerance is zero).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.base import DVSPolicy
 from repro.core.static_scaling import StaticRM
@@ -118,11 +128,12 @@ class CycleConservingRM(DVSPolicy):
         self.incremental = incremental
         self.strict = strict
         self._quota: Dict[str, _Quota] = {}
-        self._rm_order: Tuple[Task, ...] = ()
         self._rm_order_for: object = None  # taskset the cache was built for
-        self._rm_pairs: Tuple[Tuple[Task, _Quota], ...] = ()
-        self._ts_index: Dict[str, int] = {}
-        self._active: List[Tuple[Task, _Quota]] = []
+        # (task-set index, quota) pairs in RM priority order.
+        self._rm_pairs: Tuple[Tuple[int, _Quota], ...] = ()
+        # (task-set index, quota) pairs granted a non-zero allotment, in
+        # task-set order.
+        self._active: List[Tuple[int, _Quota]] = []
 
     def setup(self, view) -> Optional[OperatingPoint]:
         static_point = self._static.select_point(view.taskset, view.machine)
@@ -138,7 +149,9 @@ class CycleConservingRM(DVSPolicy):
         return self._select(view)
 
     def on_completion(self, view, task: Task) -> Optional[OperatingPoint]:
-        quota = self._quota.setdefault(task.name, _Quota())
+        quota = self._quota.get(task.name)
+        if quota is None:
+            quota = self._quota[task.name] = _Quota()
         quota.completed = True
         return self._select(view)
 
@@ -158,18 +171,17 @@ class CycleConservingRM(DVSPolicy):
         return self._select(view)
 
     # ------------------------------------------------------------------
-    def _rm_sorted_pairs(self, view) -> Tuple[Tuple[Task, _Quota], ...]:
-        """``(task, quota)`` pairs by period (RM priority), plus the
-        task-set-order index map.  The task set is immutable, so both are
-        cached until the set itself is replaced."""
+    def _rm_sorted_pairs(self, view) -> Tuple[Tuple[int, _Quota], ...]:
+        """``(task-set index, quota)`` pairs by period (RM priority).  The
+        task set is immutable, so the pairs are cached until the set
+        itself is replaced."""
         if self._rm_order_for is not view.taskset:
-            self._rm_order = tuple(
-                sorted(view.taskset, key=lambda t: t.period))
+            tasks = list(view.taskset)
+            order = sorted(range(len(tasks)),
+                           key=lambda index: tasks[index].period)
             self._rm_pairs = tuple(
-                (task, self._quota.setdefault(task.name, _Quota()))
-                for task in self._rm_order)
-            self._ts_index = {
-                task.name: i for i, task in enumerate(view.taskset)}
+                (index, self._quota.setdefault(tasks[index].name, _Quota()))
+                for index in order)
             self._rm_order_for = view.taskset
         return self._rm_pairs
 
@@ -202,50 +214,64 @@ class CycleConservingRM(DVSPolicy):
             return
         # Incremental path: tasks that would be granted exactly 0.0 cycles
         # keep their *stale* snapshot — provably harmless, because a zero
-        # allotment yields a zero ``_current_quota`` under any snapshot
+        # allotment yields a zero current quota under any snapshot
         # (executed cycles never shrink within an invocation and invocation
         # indexes never repeat).  Only genuinely-granted tasks pay the
         # snapshot refresh.
-        granted: List[Tuple[Task, _Quota]] = []
-        for task, quota in self._rm_sorted_pairs(view):
-            if budget <= 0.0:
-                # Capacity exhausted: every remaining allotment is exactly
-                # 0.0 (``min(c_left, 0.0)``).
+        c_lefts = view.c_left_slots()
+        jobs = view.job_slots()
+        granted: List[Tuple[int, _Quota]] = []
+        for index, quota in self._rm_sorted_pairs(view):
+            c_left = c_lefts[index]
+            if budget <= 0.0 or c_left <= 0.0:
+                # Capacity exhausted, or no outstanding worst-case work (no
+                # job, a completed one, or c_left spent): the allotment
+                # ``min(c_left, budget)`` is exactly 0.0.  In steady state
+                # this covers nearly every non-running task.
                 quota.allotted = 0.0
                 continue
-            # One view call per task; c_left / executed are derived from
-            # the same job (bitwise what the dedicated accessors return).
-            job = view.job_of(task)
-            if job is None or job.is_complete:
-                # No outstanding invocation: ``worst_case_remaining`` is
-                # exactly 0.0, so the allotment is exactly 0.0.  In steady
-                # state this covers nearly every non-running task.
-                quota.allotted = 0.0
-                continue
-            c_left = job.worst_case_remaining
+            job = jobs[index]
             quota.invocation = job.index
             quota.executed_at_alloc = job.executed
             quota.completed = False
-            grant = min(c_left, budget)
+            grant = budget if budget < c_left else c_left
             quota.allotted = grant
             budget -= grant
-            if grant > 0.0:
-                granted.append((task, quota))
+            granted.append((index, quota))
         # Tasks granted nothing contribute an exact 0.0 to every later
         # quota sum (see module docstring); record the rest, in task-set
         # order so the reduced sum matches the full sweep.  The granted
         # list is tiny (bounded by the budget), so re-ordering it beats a
         # full task-set pass.
-        index = self._ts_index
-        granted.sort(key=lambda pair: index[pair[0].name])
+        granted.sort(key=itemgetter(0))
         self._active = granted
 
-    def _current_quota(self, view, task: Task,
-                       quota: Optional[_Quota] = None) -> float:
+    @staticmethod
+    def _quota_sum(pairs: Iterable[Tuple[int, Optional[_Quota]]],
+                   jobs: Sequence) -> float:
+        """``Σd_i`` over ``pairs``, left to right: each quota is its
+        allotment minus the cycles executed since the allocation, zero
+        once the invocation completes or is replaced — the
+        :meth:`_current_quota` arithmetic, with its exact-zero terms
+        skipped (see the module docstring)."""
+        total = 0.0
+        for index, quota in pairs:
+            if quota is None or quota.completed:
+                continue
+            job = jobs[index]
+            if (job is None or job.index != quota.invocation
+                    or job.completion_time is not None):
+                continue
+            left = quota.allotted - (job.executed - quota.executed_at_alloc)
+            if left > 0.0:
+                total += left
+        return total
+
+    def _current_quota(self, view, task: Task) -> float:
         """``d_i`` right now: the allotment minus cycles executed since the
-        allocation; zero once the invocation completes."""
-        if quota is None:
-            quota = self._quota.get(task.name)
+        allocation; zero once the invocation completes (the from-scratch
+        reference's per-task read)."""
+        quota = self._quota.get(task.name)
         if quota is None or quota.completed:
             return 0.0
         job = view.job_of(task)
@@ -264,12 +290,13 @@ class CycleConservingRM(DVSPolicy):
         if s_m <= 1e-12:
             return view.machine.fastest
         if self.incremental:
-            total = 0.0
-            for task, quota in self._active:
-                total += self._current_quota(view, task, quota)
+            jobs = view.job_slots()
+            total = self._quota_sum(self._active, jobs)
             if self.strict:
-                exact = sum(self._current_quota(view, task)
-                            for task in view.taskset)
+                quota = self._quota
+                exact = self._quota_sum(
+                    ((index, quota.get(task.name))
+                     for index, task in enumerate(view.taskset)), jobs)
                 if total != exact:
                     raise PolicyStateError(
                         f"ccRM active quota sum {total!r} != full-sweep "
@@ -277,7 +304,9 @@ class CycleConservingRM(DVSPolicy):
         else:
             total = sum(
                 self._current_quota(view, task) for task in view.taskset)
-        return view.machine.lowest_at_least(min(1.0, total / s_m))
+        speed = total / s_m
+        # min(1.0, speed), as a conditional returning the same value.
+        return view.machine.lowest_at_least(speed if speed < 1.0 else 1.0)
 
     @property
     def static_frequency(self) -> float:

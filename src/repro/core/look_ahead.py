@@ -41,18 +41,26 @@ additional O(n log n) re-sort per event to derive the reverse-EDF order.
 A task's current deadline changes *only at its own release*, so the order
 is maintained instead: a sorted key list (``(-deadline, -taskset_index)``
 ascending — exactly the from-scratch descending ``(deadline, index)``
-sort) repositions one entry per release via ``bisect``.  Per-task
-worst-case utilizations and the task-set utilization sum are cached
-alongside (the task set only changes through the add/remove hooks, which
-rebuild everything).  Every float read in the maintained walk —
-deadlines, utilizations, the starting ``U`` — is the identical bit
-pattern the from-scratch path derives, so the selected operating points
-match bit-for-bit; the differential tests pin this on full simulations.
+sort) repositions one entry per release via ``bisect``.  Three lists are
+spliced in lock-step with it — the deadline, the worst-case utilization
+and the task-set index of each entry — and the task-set utilization sum
+is cached (the task set only changes through the add/remove hooks, which
+rebuild everything).  ``defer()`` is then one fused ``(deadline, util,
+index)`` walk that reads ``c_left`` by index from the view's
+:meth:`~repro.sim.engine.SchedulerView.c_left_slots` (on the per-run
+kernel, its live list) instead of calling an accessor per task.  Every
+float read in the maintained walk — deadlines, utilizations, ``c_left``,
+the starting ``U`` — is the identical bit pattern the from-scratch path
+derives, and ``max(0, x)`` / ``min(a, b)`` are written as conditionals
+that return the same values, so the selected operating points match
+bit-for-bit; the differential tests pin this on full simulations, on the
+event engine and on the per-run kernel.
 
 ``strict=True`` keeps its original meaning (raise on over-unity deferral
-instants) and additionally cross-checks the maintained order against a
-fresh re-sort at every ``defer()``, raising
-:class:`~repro.errors.PolicyStateError` on divergence.
+instants) and additionally cross-checks the maintained walk (deadline,
+index and utilization of every entry) against a fresh re-sort at every
+``defer()``, raising :class:`~repro.errors.PolicyStateError` on
+divergence.
 """
 
 from __future__ import annotations
@@ -108,25 +116,20 @@ class LookAheadEDF(DVSPolicy):
         self.incremental = incremental
         self.over_unity_events = 0
         # Maintained reverse-EDF order: ascending (-deadline, -index) keys
-        # with parallel task/deadline/utilization lists; tasks without a
-        # current job live in ``_no_job`` (they contribute nothing to the
-        # walk).  ``_deadlines``/``_utils`` are spliced in lock-step with
-        # ``_keys``/``_tasks`` so the deferral walk reads plain list slots
-        # instead of negating key tuples and chasing ``task.name`` through
-        # a dict on every iteration of every callback.
+        # with parallel deadline / utilization / task-set index lists,
+        # spliced in lock-step so the deferral walk reads plain list slots.
+        # Tasks without a current job are not in the order (they
+        # contribute nothing to the walk).
         self._keys: List[Tuple[float, int]] = []
-        self._tasks: List[Task] = []
         self._deadlines: List[float] = []
         self._utils: List[float] = []
-        self._key_of: Dict[str, Tuple[float, int]] = {}
-        self._no_job: List[Task] = []
+        self._order: List[int] = []
+        # Per task-set index: the entry's key (None until the first
+        # release) and the worst-case utilization.
+        self._key_at: List[Optional[Tuple[float, int]]] = []
+        self._util_at: List[float] = []
         self._index_of: Dict[str, int] = {}
-        self._util_of: Dict[str, float] = {}
         self._total_util = 0.0
-        # Reused c_left scratch buffer for the batch view read; resized
-        # (rarely) when the walk length changes, filled in place otherwise
-        # so the per-callback deferral allocates nothing.
-        self._c_left: List[float] = []
 
     def setup(self, view) -> Optional[OperatingPoint]:
         if view.taskset.utilization > 1.0 + 1e-9:
@@ -177,77 +180,67 @@ class LookAheadEDF(DVSPolicy):
     def _rebuild(self, view) -> None:
         """Reconstruct every cached aggregate from the view (used at setup
         and on task-set changes; the per-release path is ``_reposition``)."""
+        taskset = view.taskset
         self._index_of = {
-            task.name: index for index, task in enumerate(view.taskset)}
-        self._util_of = {
-            task.name: task.utilization for task in view.taskset}
+            task.name: index for index, task in enumerate(taskset)}
+        self._util_at = [task.utilization for task in taskset]
         # Bitwise-identical to TaskSet.utilization (same terms, same order).
-        self._total_util = sum(
-            self._util_of[task.name] for task in view.taskset)
-        self._keys = []
-        self._tasks = []
-        self._key_of = {}
-        self._no_job = []
-        for index, task in enumerate(view.taskset):
+        self._total_util = sum(self._util_at)
+        self._key_at = [None] * len(taskset)
+        keys = []
+        for index, task in enumerate(taskset):
             deadline = view.current_deadline(task)
-            if deadline is None:
-                self._no_job.append(task)
-            else:
-                self._insert(task, (-deadline, -index))
-        self._tasks = [task for _, task in
-                       sorted(zip(self._keys, self._tasks),
-                              key=lambda e: e[0])]
-        self._keys.sort()
+            if deadline is not None:
+                key = (-deadline, -index)
+                keys.append(key)
+                self._key_at[index] = key
+        keys.sort()
+        self._keys = keys
         # Negating the stored key recovers the exact deadline bit pattern
-        # (float negation is sign-flip only), so the parallel lists read
-        # the identical values the key-based walk did.
-        self._deadlines = [-key[0] for key in self._keys]
-        self._utils = [self._util_of[task.name] for task in self._tasks]
-
-    def _insert(self, task: Task, key: Tuple[float, int]) -> None:
-        self._keys.append(key)
-        self._tasks.append(task)
-        self._key_of[task.name] = key
+        # (float negation is sign-flip only) and the task-set index.
+        self._deadlines = [-key[0] for key in keys]
+        self._order = [-key[1] for key in keys]
+        self._utils = [self._util_at[index] for index in self._order]
 
     def _reposition(self, view, task: Task) -> None:
         """Move ``task`` to the slot of its newly-released deadline.
-        O(log n) search + one list splice."""
-        name = task.name
-        deadline = view.current_deadline(task)
-        if deadline is None:  # defensive: release without a job
-            return
-        index = self._index_of.get(name)
+        O(log n) search + one splice per parallel list."""
+        index = self._index_of.get(task.name)
         if index is None:  # task unknown (hook order surprise): resync
             self._rebuild(view)
             return
+        job = view.job_slots()[index]
+        if job is None:  # defensive: release without a job
+            return
+        deadline = job.absolute_deadline
         key = (-deadline, -index)
-        old = self._key_of.get(name)
+        old = self._key_at[index]
         if old is not None:
             if old == key:
                 return
             pos = bisect_left(self._keys, old)
-            self._keys.pop(pos)
-            self._tasks.pop(pos)
-            self._deadlines.pop(pos)
-            self._utils.pop(pos)
-        else:
-            self._no_job.remove(task)  # first release only
+            del self._keys[pos]
+            del self._deadlines[pos]
+            del self._utils[pos]
+            del self._order[pos]
         pos = bisect_left(self._keys, key)
         self._keys.insert(pos, key)
-        self._tasks.insert(pos, task)
         self._deadlines.insert(pos, deadline)
-        self._utils.insert(pos, self._util_of[name])
-        self._key_of[name] = key
+        self._utils.insert(pos, self._util_at[index])
+        self._order.insert(pos, index)
+        self._key_at[index] = key
 
     def _check_order(self, view) -> None:
         """Strict-mode cross-check: the maintained walk must equal a fresh
-        reverse-EDF re-sort."""
-        expected = [(view.current_deadline(task), task.name)
-                    for task in self._reverse_edf_order_scratch(view)
-                    if view.current_deadline(task) is not None]
-        maintained = [(-key[0], task.name)
-                      for key, task in zip(self._keys, self._tasks)]
-        if maintained != expected:
+        reverse-EDF re-sort (deadline, index and utilization)."""
+        taskset = view.taskset
+        deadlines = [view.current_deadline(task) for task in taskset]
+        expected = sorted(((deadline, index)
+                           for index, deadline in enumerate(deadlines)
+                           if deadline is not None), reverse=True)
+        maintained = list(zip(self._deadlines, self._order))
+        utils = [taskset[index].utilization for _, index in expected]
+        if maintained != expected or self._utils != utils:
             raise PolicyStateError(
                 f"laEDF maintained deferral order {maintained!r} diverged "
                 f"from re-sorted order {expected!r} at t={view.time:g}")
@@ -262,27 +255,22 @@ class LookAheadEDF(DVSPolicy):
         if self.incremental:
             if self.strict:
                 self._check_order(view)
+            c_lefts = view.c_left_slots()
             utilization = self._total_util
             must_run = 0.0
-            tasks = self._tasks
-            scratch = self._c_left
-            if len(scratch) != len(tasks):
-                scratch = self._c_left = [0.0] * len(tasks)
-            batch = getattr(view, "worst_case_remaining_each", None)
-            if batch is not None:
-                c_lefts = batch(tasks, scratch)
-            else:  # duck-typed view (stub/tick): same values, scalar reads
-                c_lefts = [view.worst_case_remaining(task)
-                           for task in tasks]
-            for deadline, util, c_left in zip(self._deadlines, self._utils,
-                                              c_lefts):
+            for deadline, util, index in zip(self._deadlines, self._utils,
+                                             self._order):
+                c_left = c_lefts[index]
                 utilization -= util
                 span = deadline - earliest
                 if span <= 1e-12:
                     deferred = 0.0
                 else:
-                    capacity = max(0.0, 1.0 - utilization) * span
-                    deferred = min(c_left, capacity)
+                    # max(0.0, 1.0 - U) * span and min(c_left, capacity),
+                    # as conditionals returning the same values.
+                    room = 1.0 - utilization
+                    capacity = (room if room > 0.0 else 0.0) * span
+                    deferred = capacity if capacity < c_left else c_left
                     utilization += deferred / span
                 must_run += c_left - deferred
         else:
@@ -317,7 +305,8 @@ class LookAheadEDF(DVSPolicy):
                     f"look-ahead deferral at t={now:g} needs speed "
                     f"{speed:.3f} > 1: {must_run:g} cycles cannot finish "
                     f"by the earliest deadline {earliest:g} even at f_max")
-        return view.machine.lowest_at_least(min(1.0, speed))
+        # min(1.0, speed), as a conditional returning the same value.
+        return view.machine.lowest_at_least(speed if speed < 1.0 else 1.0)
 
     @staticmethod
     def _reverse_edf_order_scratch(view):

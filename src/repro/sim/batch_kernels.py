@@ -25,19 +25,21 @@ engine's heap keys.  The main loop is deliberately one flat function:
 between two release instants ("a window") it executes segments back to
 back without re-deriving the release state the engine re-scans per event.
 
-The module also hosts the cross-cell *block* kernels used by
-:mod:`repro.analysis.batch`: vectorized release counting, zero-demand
-release detection, the final deadline sweep, and ``lowest_at_least`` over a
-batch of speed requests.  Each evaluates the identical per-element
-comparisons as its scalar counterpart; numpy (when installed) only changes
-how the elements are iterated, never the arithmetic, and is imported
-lazily behind :func:`numpy_backend` so the scalar sweep path keeps its
-"numpy never imported" invariant (pinned by ``benchmarks/numpy_guard``).
+The per-task state the paper's whole-set policies read is kept live and
+index-addressed: ``c_left`` (worst-case remaining cycles), the current-job
+slots, and the earliest deadline (recomputed once per release instant, the
+only place a deadline changes).  laEDF's deferral walk and ccRM's quota
+walk read them through :meth:`CellKernel.c_left_slots` /
+:meth:`CellKernel.job_slots` instead of one accessor call per task.
+
+The module also hosts the lazy numpy seam (:func:`numpy_backend`) of the
+cross-cell lanes in :mod:`repro.sim.block_kernels`.  The per-run kernel
+itself never imports numpy, so sweeps that stay below the lane floor keep
+``numpy`` out of ``sys.modules`` (pinned by ``benchmarks/numpy_guard``).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from typing import Dict, List, Optional, Sequence, Union
@@ -62,12 +64,6 @@ _EPS = 1e-9
 #: need it fall back to the engine.
 KERNEL_MISS_MODES = ("raise", "drop")
 
-#: Element count below which the block kernels skip numpy: crossing into
-#: numpy costs more than a tiny Python loop for a handful of elements.
-#: The size check runs *before* :func:`numpy_backend`, so small batches
-#: never trigger the import.
-_NUMPY_MIN = 64
-
 _INF = math.inf
 
 # ---------------------------------------------------------------------------
@@ -87,8 +83,8 @@ def set_numpy_enabled(enabled: bool) -> None:
     default lazy numpy acceleration (``True``).
 
     Used by the differential tests to pin both sides of the
-    numpy-on/numpy-off bit-identity gate, and available to callers that
-    must not pull numpy into the process.
+    numpy-on/numpy-off bit-identity gate of the lanes, and available to
+    callers that must not pull numpy into the process.
     """
     global _numpy_enabled
     _numpy_enabled = bool(enabled)
@@ -97,10 +93,10 @@ def set_numpy_enabled(enabled: bool) -> None:
 def numpy_backend():
     """The numpy module, or ``None`` (disabled or not installed).
 
-    The import happens on first use from *batch* code only — nothing on
-    the scalar sweep path calls into this module, so ``numpy`` stays out
-    of ``sys.modules`` for scalar sweeps (the laziness invariant asserted
-    by ``benchmarks.numpy_guard``).
+    The import happens on first use from the lane rung only — neither
+    the scalar sweep path nor the per-run kernel calls it, so ``numpy``
+    stays out of ``sys.modules`` for sweeps below the lane floor (the
+    laziness invariant asserted by ``benchmarks.numpy_guard``).
     """
     global _numpy_module, _numpy_missing
     if not _numpy_enabled or _numpy_missing:
@@ -113,97 +109,6 @@ def numpy_backend():
             return None
         _numpy_module = numpy
     return _numpy_module
-
-
-# ---------------------------------------------------------------------------
-# block kernels (cell/task index as the leading axis)
-# ---------------------------------------------------------------------------
-
-def release_counts(periods: Sequence[float], duration: float) -> List[int]:
-    """Releases the engine fires per task over ``[0, duration)``.
-
-    Replays the engine's convention exactly: releases happen at the
-    *accumulated* times ``0, p, p+p, ...`` (repeated addition, not
-    ``k*p``) while the accumulated time stays below ``duration - _EPS``
-    (the at-the-horizon release is suppressed).  Accumulation order
-    matters in floating point, so this kernel is intentionally not
-    expressed as a closed-form divide.
-    """
-    limit = duration - _EPS
-    counts: List[int] = []
-    for period in periods:
-        release = 0.0
-        n = 0
-        while release < limit:
-            n += 1
-            release += period
-        counts.append(n)
-    return counts
-
-
-def zero_demand_mask(demands: Sequence[float]) -> List[bool]:
-    """Per-element ``demand <= _EPS`` — the engine's zero-demand release
-    test, applied to a whole release batch at once."""
-    if len(demands) >= _NUMPY_MIN:
-        np = numpy_backend()
-        if np is not None:
-            arr = np.asarray(demands, dtype=np.float64)
-            return (arr <= _EPS).tolist()
-    return [demand <= _EPS for demand in demands]
-
-
-def deadline_miss_mask(deadlines: Sequence[float],
-                       completed: Sequence[bool],
-                       duration: float) -> List[bool]:
-    """Per-job final-deadline test: incomplete and the absolute deadline
-    fell inside the run (``deadline <= duration + _EPS``) — exactly the
-    predicate of the engine's final deadline check."""
-    if len(deadlines) >= _NUMPY_MIN:
-        np = numpy_backend()
-        if np is not None:
-            dl = np.asarray(deadlines, dtype=np.float64)
-            done = np.asarray(completed, dtype=bool)
-            return (~done & (dl <= duration + _EPS)).tolist()
-    return [not done and deadline <= duration + _EPS
-            for deadline, done in zip(deadlines, completed)]
-
-
-def lowest_at_least_indices(machine: Machine,
-                            speeds: Sequence[float]) -> List[int]:
-    """Vectorized frequency selection: the operating-point index
-    :meth:`~repro.hw.machine.Machine.lowest_at_least` would pick for each
-    requested speed.
-
-    Mirrors the scalar method exactly — ``bisect_left(frequencies,
-    speed - 1e-9)`` clamped to the table, with the same over-unity error —
-    so ``machine.points[i]`` equals the scalar selection element-wise.
-    """
-    frequencies = machine.frequencies
-    top = len(frequencies) - 1
-    if len(speeds) >= _NUMPY_MIN:
-        np = numpy_backend()
-        if np is not None:
-            arr = np.asarray(speeds, dtype=np.float64)
-            over = arr > 1.0 + 1e-7
-            if bool(over.any()):
-                _raise_over_unity(float(arr[over][0]))
-            indices = np.searchsorted(
-                np.asarray(frequencies, dtype=np.float64),
-                arr - _EPS, side="left")
-            return np.minimum(indices, top).tolist()
-    out: List[int] = []
-    for speed in speeds:
-        if speed > 1.0 + 1e-7:
-            _raise_over_unity(speed)
-        index = bisect.bisect_left(frequencies, speed - _EPS)
-        out.append(index if index <= top else top)
-    return out
-
-
-def _raise_over_unity(speed: float) -> None:
-    """The same error ``Machine.lowest_at_least`` raises."""
-    raise MachineError(
-        f"required relative speed {speed} exceeds the maximum (1.0)")
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +172,12 @@ class CellKernel(SchedulerView):
       at-the-horizon releases follow the engine's suppression convention);
     * ``_job[i]`` / ``_job_deadline[i]`` — the deadline index (the current
       invocation's deadline persists after completion, exactly like the
-      engine's lazily-invalidated deadline heap);
+      engine's lazily-invalidated deadline heap); ``_earliest`` caches its
+      minimum, recomputed once per release instant;
+    * ``_c_left[i]`` — ``c_left``, the current job's worst-case remaining
+      cycles (``max(0, C_i - executed)``, 0 once complete), written at
+      release, at the zero-demand pass, after a partial segment and at
+      completion;
     * ``_ready[i]`` — the ready queue (one slot per task: the supported
       miss modes never leave two live jobs of one task ready).
 
@@ -334,12 +244,16 @@ class CellKernel(SchedulerView):
         self._invocation = [0] * self._n
         self._job: List[Optional[Job]] = [None] * self._n
         self._job_deadline = [_INF] * self._n
+        self._earliest: Optional[float] = None
+        self._c_left = [0.0] * self._n
         self._ready: List[Optional[Job]] = [None] * self._n
+        # Job-log position of each current job: the final deadline check
+        # visits the slots in log order.
+        self._log_pos = [0] * self._n
 
         # -- run accounting --
         self.time = 0.0
         self._jobs: List[Job] = []
-        self._jobs_deadline: List[float] = []
         self._misses: List[DeadlineMiss] = []
         self._energy = EnergyBreakdown()
         self._switches = 0
@@ -384,8 +298,7 @@ class CellKernel(SchedulerView):
         return job.absolute_deadline if job else None
 
     def earliest_deadline(self) -> Optional[float]:
-        earliest = min(self._job_deadline) if self._job_deadline else _INF
-        return earliest if earliest != _INF else None
+        return self._earliest
 
     def worst_case_remaining(self, task: Task) -> float:
         job = self.job_of(task)
@@ -393,25 +306,11 @@ class CellKernel(SchedulerView):
             return 0.0
         return job.worst_case_remaining
 
-    def worst_case_remaining_each(self, tasks: Sequence[Task],
-                                  out: Optional[List[float]] = None
-                                  ) -> List[float]:
-        id_index = self._id_index
-        tindex = self._tindex
-        jobs = self._job
-        if out is None or len(out) != len(tasks):
-            out = [0.0] * len(tasks)
-        for index, task in enumerate(tasks):
-            i = id_index.get(id(task))
-            if i is None:
-                i = tindex.get(task.name)
-            job = jobs[i] if i is not None else None
-            if job is None or job.completion_time is not None:
-                out[index] = 0.0
-            else:
-                remaining = job.task.wcet - job.executed
-                out[index] = remaining if remaining > 0.0 else 0.0
-        return out
+    def c_left_slots(self) -> List[float]:
+        return self._c_left
+
+    def job_slots(self) -> List[Optional[Job]]:
+        return self._job
 
     def executed_in_invocation(self, task: Task) -> float:
         job = self.job_of(task)
@@ -456,12 +355,13 @@ class CellKernel(SchedulerView):
         invocation = self._invocation
         job_slot = self._job
         job_deadline = self._job_deadline
+        c_left = self._c_left
+        log_pos = self._log_pos
         ready = self._ready
         duration = self.duration
         edge = duration - _EPS
         drop_on_miss = self.on_miss == "drop"
         jobs_log = self._jobs
-        deadline_log = self._jobs_deadline
         trace = self._trace
         record = trace.record if trace is not None else None
         on_release = self._on_release
@@ -534,19 +434,25 @@ class CellKernel(SchedulerView):
                         job_deadline[i] = deadline
                         invocation[i] = inv + 1
                         next_release[i] = deadline
+                        log_pos[i] = len(jobs_log)
                         jobs_log.append(job)
-                        deadline_log.append(deadline)
                         released_tasks.append(task)
                         if demand > _EPS:
                             ready[i] = job
+                            c_left[i] = cap  # max(0.0, C_i - 0.0)
                         else:
                             # Engine's zero-demand pass: completes at the
                             # current time without ever becoming ready.
                             job.completion_time = time
+                            c_left[i] = 0.0
                             zero_tasks.append(task)
                         if not (next_release[i] <= limit
                                 and next_release[i] < edge):
                             break
+                # Deadlines change only here, so the earliest one is
+                # resolved once per release instant, before any hook.
+                earliest = min(job_deadline)
+                self._earliest = earliest if earliest != _INF else None
                 if invalidate is not None:
                     self.time = time
                     invalidate(self, released_tasks)
@@ -554,7 +460,12 @@ class CellKernel(SchedulerView):
                     self.time = time
                     for task in released_tasks:
                         new_point = on_release(self, task)
-                        if new_point is not None and new_point != point:
+                        # Identity first, here and at the other switch
+                        # sites: hooks mostly hand back the current point
+                        # object, so the dataclass __eq__ runs only when
+                        # the point may have changed.
+                        if (new_point is not None and new_point is not point
+                                and new_point != point):
                             self._point = point
                             self._set_point(new_point)
                             point = self._point
@@ -565,7 +476,8 @@ class CellKernel(SchedulerView):
                     self.time = time
                     for task in zero_tasks:
                         new_point = on_completion(self, task)
-                        if new_point is not None and new_point != point:
+                        if (new_point is not None and new_point is not point
+                                and new_point != point):
                             self._point = point
                             self._set_point(new_point)
                             point = self._point
@@ -605,7 +517,8 @@ class CellKernel(SchedulerView):
                     if on_idle is not None:
                         self.time = time
                         new_point = on_idle(self)
-                        if new_point is not None and new_point != point:
+                        if (new_point is not None and new_point is not point
+                                and new_point != point):
                             self._point = point
                             self._set_point(new_point)
                             point = self._point
@@ -632,6 +545,7 @@ class CellKernel(SchedulerView):
                     acc_energy[slot] += energy
                     job.executed = job.demand  # absorb float residue
                     job.completion_time = completion_time
+                    c_left[best] = 0.0
                     ready[best] = None
                     if record is not None:
                         record(time, completion_time, job.task.name, point,
@@ -640,7 +554,8 @@ class CellKernel(SchedulerView):
                     if on_completion is not None:
                         self.time = time
                         new_point = on_completion(self, job.task)
-                        if new_point is not None and new_point != point:
+                        if (new_point is not None and new_point is not point
+                                and new_point != point):
                             self._point = point
                             self._set_point(new_point)
                             point = self._point
@@ -657,7 +572,10 @@ class CellKernel(SchedulerView):
                     if slot < 0:
                         slot = self._slot_for(point)
                     acc_energy[slot] += energy
-                    job.executed += cycles
+                    executed = job.executed + cycles
+                    job.executed = executed
+                    left = wcet[best] - executed
+                    c_left[best] = left if left > 0.0 else 0.0
                     if record is not None:
                         record(time, horizon, job.task.name, point, cycles,
                                energy, "run")
@@ -758,22 +676,21 @@ class CellKernel(SchedulerView):
                                     job.absolute_deadline, self.time)
 
     def _final_deadline_check(self) -> None:
-        jobs = self._jobs
-        if not jobs:
-            return
-        completed = [job.completion_time is not None for job in jobs]
-        mask = deadline_miss_mask(self._jobs_deadline, completed,
-                                  self.duration)
-        misses = self._misses
-        for index, flagged in enumerate(mask):
-            if not flagged:
-                continue
-            job = jobs[index]
-            already = any(m.task_name == job.task.name
-                          and m.release_time == job.release_time
-                          for m in misses)
-            if not already:
-                self._record_miss(job)
+        """The engine's final sweep over every job, reduced to the current
+        slots: a replaced job that was still incomplete was recorded at
+        its replacement (drop) or raised (raise), so only a current job
+        can add a miss.  Candidates are visited in job-log order, which
+        keeps ``misses`` in the engine's content and order."""
+        limit = self.duration + _EPS
+        job_slot = self._job
+        job_deadline = self._job_deadline
+        candidates = sorted(
+            (self._log_pos[i], i) for i in range(self._n)
+            if job_slot[i] is not None
+            and job_slot[i].completion_time is None
+            and job_deadline[i] <= limit)
+        for _, i in candidates:
+            self._record_miss(job_slot[i])
 
 
 def kernel_simulate(taskset: TaskSet, machine: Machine, policy,

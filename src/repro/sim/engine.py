@@ -145,7 +145,11 @@ class SchedulerView:
       completes);
     * :meth:`earliest_deadline` — "the next deadline in the system";
     * :meth:`executed_in_invocation` — cycles the current invocation has
-      executed so far (lets ccRM maintain its ``d_i`` counters).
+      executed so far (lets ccRM maintain its ``d_i`` counters);
+    * :meth:`c_left_slots` / :meth:`job_slots` — ``c_left_i`` and the
+      current job of every task at once, indexed like ``taskset`` (the
+      whole-set walks of laEDF and ccRM read these instead of calling
+      the per-task accessors).
 
     An admitted-but-not-yet-released task has no job: ``job_of`` returns
     ``None`` and ``current_deadline`` ``None``.  Policies treat such tasks
@@ -169,25 +173,24 @@ class SchedulerView:
     def worst_case_remaining(self, task: Task) -> float:
         raise NotImplementedError
 
-    def worst_case_remaining_each(self, tasks: Sequence[Task],
-                                  out: Optional[List[float]] = None
-                                  ) -> List[float]:
-        """Batch ``c_left`` lookup: one slot per task, the same values as
-        calling :meth:`worst_case_remaining` task by task.
+    def c_left_slots(self) -> Sequence[float]:
+        """``c_left`` of every task, indexed like :attr:`taskset`: the
+        same values as :meth:`worst_case_remaining` task by task.
 
         Policies that walk the whole task set per callback (laEDF's
-        deferral loop fires on every release and completion) pay a
-        per-task method-call + property chain through the scalar API;
-        the batch form lets the simulator resolve its own state dict in
-        one tight loop.  ``out`` is an optional reused scratch list —
-        when it already has ``len(tasks)`` slots it is filled in place
-        and returned, so steady-state callbacks allocate nothing.
+        deferral loop, ccRM's quota walk) read this once per callback
+        and index it.  The base class derives it from the scalar
+        accessor; a run loop may return its own live list instead, so
+        callers must treat the result as read-only and re-read it on the
+        next callback.
         """
-        if out is not None and len(out) == len(tasks):
-            for index, task in enumerate(tasks):
-                out[index] = self.worst_case_remaining(task)
-            return out
-        return [self.worst_case_remaining(task) for task in tasks]
+        return [self.worst_case_remaining(task) for task in self.taskset]
+
+    def job_slots(self) -> Sequence[Optional[Job]]:
+        """The current job of every task (``None`` before its first
+        release), indexed like :attr:`taskset`: :meth:`job_of` task by
+        task, with the same read-only contract as :meth:`c_left_slots`."""
+        return [self.job_of(task) for task in self.taskset]
 
     def executed_in_invocation(self, task: Task) -> float:
         raise NotImplementedError
@@ -297,6 +300,10 @@ class Simulator(SchedulerView):
         # -- mutable run state --
         self.time = 0.0
         self._states: Dict[str, _TaskState] = {}
+        # Current job per task-set index (``job_slots``): states join in
+        # task-set order at run start and on admission, and ``ordinal`` is
+        # the state's index here.
+        self._job_slots: List[Optional[Job]] = []
         self._jobs: List[Job] = []
         self._misses: List[DeadlineMiss] = []
         self._energy = EnergyBreakdown()
@@ -386,29 +393,21 @@ class Simulator(SchedulerView):
             return 0.0
         return job.worst_case_remaining
 
-    def worst_case_remaining_each(self, tasks: Sequence[Task],
-                                  out: Optional[List[float]] = None
-                                  ) -> List[float]:
-        """Batch ``c_left``, resolving the state dict directly.
+    def c_left_slots(self) -> List[float]:
+        """``c_left`` per task-set index, from the live job slots.
 
         Inlines :attr:`Job.worst_case_remaining` (complete -> 0, else
         ``max(0, C_i - executed)``) so an n-task walk costs one method
-        call plus n dict probes instead of 4n calls through the scalar
-        property chain — laEDF's deferral loop reads every task on every
-        release and completion.
+        call and one pass over a list instead of 4n calls through the
+        scalar property chain.
         """
-        states = self._states
-        fill = out is not None and len(out) == len(tasks)
-        if not fill:
-            out = [0.0] * len(tasks)
-        for index, task in enumerate(tasks):
-            state = states.get(task.name)
-            job = state.job if state is not None else None
-            if job is None or job.completion_time is not None:
-                out[index] = 0.0
-            else:
-                out[index] = max(0.0, job.task.wcet - job.executed)
-        return out
+        return [0.0 if job is None or job.completion_time is not None
+                else max(0.0, job.task.wcet - job.executed)
+                for job in self._job_slots]
+
+    def job_slots(self) -> List[Optional[Job]]:
+        """The live current-job list, one slot per task-set index."""
+        return self._job_slots
 
     def executed_in_invocation(self, task: Task) -> float:
         """Cycles executed by the current invocation so far."""
@@ -528,6 +527,7 @@ class Simulator(SchedulerView):
             state = _TaskState(task=task, next_release=0.0,
                                ordinal=len(self._states))
             self._states[task.name] = state
+            self._job_slots.append(None)
             self._schedule_release(state)
         initial = self.policy.setup(self)
         self._invalidate_wakeup()
@@ -693,6 +693,7 @@ class Simulator(SchedulerView):
             state.next_release = max(self.time, admission.time)
             state.pending_defer = False
         self._states[task.name] = state
+        self._job_slots.append(None)
         self._schedule_release(state)
         hook = getattr(self.policy, "on_task_added", None)
         if hook is not None:
@@ -801,6 +802,7 @@ class Simulator(SchedulerView):
         job = Job(task=state.task, release_time=release_time, demand=demand,
                   index=state.invocation)
         state.job = job
+        self._job_slots[state.ordinal] = job
         self._index_deadline(state, job)
         state.invocation += 1
         state.next_release = release_time + state.task.period

@@ -28,6 +28,7 @@ from repro.hw.operating_point import OperatingPoint
 from repro.model.demand import DemandModel, WorstCaseDemand, demand_from_spec
 from repro.model.job import Job
 from repro.model.task import Task, TaskSet
+from repro.sim.engine import SchedulerView
 from repro.sim.timeline import make_trace
 
 _EPS = 1e-9
@@ -51,7 +52,7 @@ class TickResult:
         return not self.missed
 
 
-class TickSimulator:
+class TickSimulator(SchedulerView):
     """Quantized-time reference simulator.
 
     Parameters mirror :class:`~repro.sim.engine.Simulator` where they
@@ -121,7 +122,7 @@ class TickSimulator:
                                or self._obs_ctx is not None)
         self._last_exec_job: Optional[Job] = None
 
-    # -- SchedulerView protocol (duck-typed) -----------------------------
+    # -- SchedulerView protocol (whole-set reads from the base class) ----
     def job_of(self, task: Task) -> Optional[Job]:
         return self._jobs[task.name]
 

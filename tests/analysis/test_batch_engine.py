@@ -9,6 +9,11 @@ cache.  These tests hold that line; the throughput side lives in
 ``benchmarks/write_bench_json.py`` (``fig9_sweep_batch``).
 """
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -21,18 +26,14 @@ from repro.analysis.sweep import (
     utilization_sweep,
 )
 from repro.core import make_policy
-from repro.errors import MachineError, ReproError
+from repro.errors import ReproError
 from repro.hw.machine import machine0
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet
 from repro.sim.batch_kernels import (
-    deadline_miss_mask,
     kernel_fallback_reason,
     kernel_simulate,
-    lowest_at_least_indices,
-    release_counts,
     set_numpy_enabled,
-    zero_demand_mask,
 )
 from repro.sim.engine import simulate
 
@@ -141,76 +142,80 @@ class TestKernelMatchesEngine:
         assert kernel_fallback_reason(object()) == "policy-type"
 
 
+def _release_times(jobs, taskset):
+    """Release times of ``jobs`` per task, in task-set order."""
+    per_task = {t.name: [] for t in taskset}
+    for job in jobs:
+        per_task[job.task.name].append(job.release_time)
+    return [per_task[t.name] for t in taskset]
+
+
 class TestBlockKernels:
-    """Unit-level: vectorized kernels vs their event-loop references."""
+    """Unit-level: the per-run kernel's release conventions, read off its
+    own job log."""
 
     def test_release_counts_match_engine_jobs(self):
+        # Releases happen at the *accumulated* times 0, p, p+p, ...
+        # (repeated addition, not k*p) while they stay below
+        # ``duration - eps``; the kernel's job log must match the engine's
+        # and that convention float for float.
         taskset = TaskSetGenerator(n_tasks=4, utilization=0.6,
                                    seed=9).generate()
         duration = 2.5 * max(t.period for t in taskset)
-        result = simulate(taskset, MACHINE, make_policy("EDF"),
-                          duration=duration, on_miss="drop")
-        per_task = {t.name: 0 for t in taskset}
-        for job in result.jobs:
-            per_task[job.task.name] += 1
-        counts = release_counts([t.period for t in taskset], duration)
-        assert counts == [per_task[t.name] for t in taskset]
+        kwargs = dict(duration=duration, on_miss="drop")
+        kernel = kernel_simulate(taskset, MACHINE, make_policy("EDF"),
+                                 **kwargs)
+        engine = simulate(taskset, MACHINE, make_policy("EDF"), **kwargs)
+        expected = []
+        for task in taskset:
+            times, release = [], 0.0
+            while release < duration - 1e-9:
+                times.append(release)
+                release += task.period
+            expected.append(times)
+        assert _release_times(kernel.jobs, taskset) == expected
+        assert _release_times(engine.jobs, taskset) == expected
 
     def test_release_counts_horizon_coincident(self):
         # The at-the-horizon release is suppressed, exactly like the
         # engine's `release < duration - eps` loop condition.
-        assert release_counts([10.0], 100.0) == [10]
-        assert release_counts([10.0], 100.1) == [11]
+        taskset = TaskSet([Task(1.0, 10.0, "A")])
+        for duration, count in ((100.0, 10), (100.1, 11)):
+            result = kernel_simulate(taskset, MACHINE, make_policy("EDF"),
+                                     duration=duration)
+            assert len(result.jobs) == count
 
-    @pytest.mark.parametrize("n", [5, 200])
-    def test_masks_match_python_reference(self, n):
-        # n=200 crosses the numpy threshold; n=5 stays pure-Python.  Both
-        # must agree with the unvectorized predicate exactly.
-        demands = [(i % 7) * 1e-10 if i % 3 == 0 else 0.5 + i
-                   for i in range(n)]
-        deadlines = [float(i) for i in range(n)]
-        completed = [i % 2 == 0 for i in range(n)]
-        duration = n / 2.0
-        expected_zero = [d <= 1e-9 for d in demands]
-        expected_miss = [not done and dl <= duration + 1e-9
-                         for dl, done in zip(deadlines, completed)]
-        try:
-            for enabled in (True, False):
-                set_numpy_enabled(enabled)
-                assert zero_demand_mask(demands) == expected_zero
-                assert deadline_miss_mask(deadlines, completed,
-                                          duration) == expected_miss
-        finally:
-            set_numpy_enabled(True)
 
-    @pytest.mark.parametrize("n", [5, 200])
-    def test_lowest_at_least_matches_machine(self, n):
-        speeds = [((i * 37) % (n + 1)) / n for i in range(n)]
-        speeds[0] = 0.0
-        speeds[-1] = 1.0
-        expected = [MACHINE.lowest_at_least(s) for s in speeds]
-        try:
-            for enabled in (True, False):
-                set_numpy_enabled(enabled)
-                indices = lowest_at_least_indices(MACHINE, speeds)
-                assert [MACHINE.points[i] for i in indices] == expected
-        finally:
-            set_numpy_enabled(True)
+class TestNumpyLaziness:
+    """The per-run kernel never imports numpy: only the lane rung (and the
+    vectorized RM response-time test) may."""
 
-    @pytest.mark.parametrize("n", [5, 200])
-    def test_lowest_at_least_over_unity_error_parity(self, n):
-        speeds = [0.5] * n
-        speeds[n // 2] = 1.2
-        with pytest.raises(MachineError) as scalar_err:
-            MACHINE.lowest_at_least(1.2)
-        try:
-            for enabled in (True, False):
-                set_numpy_enabled(enabled)
-                with pytest.raises(MachineError) as batch_err:
-                    lowest_at_least_indices(MACHINE, speeds)
-                assert str(batch_err.value) == str(scalar_err.value)
-        finally:
-            set_numpy_enabled(True)
+    def test_kernel_rung_sweep_leaves_numpy_unloaded(self):
+        # RTA-free policies, 24 cells x 3 lane candidates: far below the
+        # lane floor, so every run takes the per-run kernel; 400 time
+        # units give each run hundreds of jobs.  A fresh interpreter so
+        # nothing else in the test session has loaded numpy already.
+        root = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                            os.pardir, os.pardir))
+        code = textwrap.dedent("""
+            from benchmarks.numpy_guard import numpy_imported
+            from repro.analysis.sweep import SweepConfig, utilization_sweep
+            result = utilization_sweep(SweepConfig(
+                policies=("EDF", "staticEDF", "ccEDF", "laEDF"),
+                n_tasks=5, n_sets=4, utilizations=(0.3, 0.5, 0.7, 0.9),
+                duration=400.0, seed=3))
+            assert result.block_cells == 0, result.block_cells
+            print("numpy" if numpy_imported() else "clean")
+        """)
+        env = dict(os.environ)
+        env.pop("RTDVS_NO_NUMPY", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), root])
+        completed = subprocess.run(
+            [sys.executable, "-c", code], cwd=root, env=env,
+            capture_output=True, text=True, timeout=300)
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stdout.split() == ["clean"]
 
 
 class TestBatchSweepIdentity:

@@ -10,10 +10,16 @@ Hypothesis drives long random event sequences two ways:
 
 * whole-simulation differentials through the real engine (releases,
   completions, idle transitions, dynamic admissions via
-  :class:`~repro.sim.engine.Admission`);
+  :class:`~repro.sim.engine.Admission`) and through the per-run kernel
+  (:func:`~repro.sim.batch_kernels.kernel_simulate`, inside its envelope:
+  no admissions), which must also match the engine;
 * hook-level sequences against a stub view (releases, completions, task
   adds *and removes* — the engine has no removal path, so the removal
   aggregates are exercised directly).
+
+The kernel's live whole-set reads (``c_left_slots``, ``job_slots``, the
+cached earliest deadline) are checked against the per-task accessors at
+every policy callback.
 """
 
 import math
@@ -23,6 +29,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core import make_policy
 from repro.core.cycle_conserving import CycleConservingEDF
 from repro.core.cycle_conserving_rm import CycleConservingRM, _Quota
 from repro.core.look_ahead import LookAheadEDF
@@ -30,6 +37,7 @@ from repro.errors import PolicyStateError, SchedulabilityError
 from repro.hw.machine import machine0, machine2
 from repro.model.generator import TaskSetGenerator
 from repro.model.task import Task, TaskSet, example_taskset
+from repro.sim.batch_kernels import kernel_fallback_reason, kernel_simulate
 from repro.sim.engine import Admission, simulate
 
 POLICY_FACTORIES = {
@@ -93,6 +101,123 @@ class TestWholeSimulationDifferential:
             # cross-check — must still propagate and fail the test.
             return
         assert _fingerprint(fast) == _fingerprint(checked)
+
+    @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
+    @_SLOW
+    @given(seed=st.integers(0, 5000), n=st.integers(2, 8),
+           u=st.floats(0.15, 0.95), fraction=st.floats(0.3, 1.0),
+           fine_machine=st.booleans())
+    def test_kernel_bit_identical_simresults(self, policy_name, seed, n, u,
+                                             fraction, fine_machine):
+        # The same differential on the per-run kernel, which feeds the
+        # policies its live index-addressed state: incremental ==
+        # from-scratch == strict there, and all equal to the engine.
+        taskset = TaskSetGenerator(n_tasks=n, utilization=u,
+                                   seed=seed).generate()
+        machine = machine2() if fine_machine else machine0()
+        factory = POLICY_FACTORIES[policy_name]
+        kwargs = dict(demand=fraction, duration=150.0, on_miss="drop")
+        assert kernel_fallback_reason(factory(), **kwargs) is None
+        try:
+            engine = simulate(taskset, machine, factory(incremental=True),
+                              **kwargs)
+        except SchedulabilityError:
+            with pytest.raises(SchedulabilityError):
+                kernel_simulate(taskset, machine,
+                                factory(incremental=True), **kwargs)
+            return
+        for mode in (dict(incremental=True), dict(incremental=False)):
+            result = kernel_simulate(taskset, machine, factory(**mode),
+                                     **kwargs)
+            assert _fingerprint(result) == _fingerprint(engine)
+            assert result.misses == engine.misses
+        try:
+            checked = kernel_simulate(
+                taskset, machine, factory(incremental=True, strict=True),
+                **kwargs)
+        except SchedulabilityError:
+            return  # laEDF strict: over-unity instant (see above)
+        assert _fingerprint(checked) == _fingerprint(engine)
+
+
+def _checking(policy_cls):
+    """``policy_cls`` with every hook first asserting that the view's
+    whole-set reads equal the per-task accessors: ``c_left_slots`` vs
+    ``worst_case_remaining``, ``job_slots`` vs ``job_of`` (identity) and
+    ``earliest_deadline`` vs a fresh ``min`` over the current
+    deadlines."""
+
+    class Checking(policy_cls):
+        def setup(self, view):
+            self.checks = 0
+            return super().setup(view)
+
+        def _check(self, view):
+            tasks = list(view.taskset)
+            assert list(view.c_left_slots()) == [
+                view.worst_case_remaining(task) for task in tasks]
+            slots = list(view.job_slots())
+            assert len(slots) == len(tasks)
+            assert all(slot is view.job_of(task)
+                       for slot, task in zip(slots, tasks))
+            deadlines = [view.current_deadline(task) for task in tasks]
+            present = [d for d in deadlines if d is not None]
+            assert view.earliest_deadline() == (min(present) if present
+                                                else None)
+            self.checks += 1
+
+        def on_releases_invalidate(self, view, tasks):
+            self._check(view)
+            return super().on_releases_invalidate(view, tasks)
+
+        def on_release(self, view, task):
+            self._check(view)
+            return super().on_release(view, task)
+
+        def on_completion(self, view, task):
+            self._check(view)
+            return super().on_completion(view, task)
+
+        def on_idle(self, view):
+            self._check(view)
+            return super().on_idle(view)
+
+    return Checking
+
+
+class TestKernelLiveState:
+    """The per-run kernel's live arrays against its scalar accessors, and
+    its slot-only final deadline check against the engine's full sweep."""
+
+    @pytest.mark.parametrize("engine", ["kernel", "engine"])
+    @pytest.mark.parametrize("policy_name", sorted(POLICY_FACTORIES))
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_whole_set_reads_match_accessors(self, engine, policy_name,
+                                             seed):
+        taskset = TaskSetGenerator(n_tasks=6, utilization=0.8,
+                                   seed=seed).generate()
+        policy = _checking(type(POLICY_FACTORIES[policy_name]()))()
+        run = kernel_simulate if engine == "kernel" else simulate
+        run(taskset, machine0(), policy, demand=0.6, duration=300.0,
+            on_miss="drop")
+        assert policy.checks > 100
+
+    def test_drop_mode_final_misses_match_engine(self):
+        # Overloaded set: every task still has an incomplete job whose
+        # deadline is the horizon, released in the reverse of task-set
+        # order (C at 54, B at 55, A at 56), so the final check must
+        # follow the job log, not the task index.
+        taskset = TaskSet([Task(3.0, 4.0, name="A"),
+                           Task(3.0, 5.0, name="B"),
+                           Task(2.0, 6.0, name="C")])
+        kwargs = dict(duration=60.0, on_miss="drop")
+        kernel = kernel_simulate(taskset, machine0(), make_policy("EDF"),
+                                 **kwargs)
+        engine = simulate(taskset, machine0(), make_policy("EDF"),
+                          **kwargs)
+        at_horizon = [m for m in kernel.misses if m.deadline == 60.0]
+        assert len(at_horizon) >= 2
+        assert kernel.misses == engine.misses
 
 
 class _StubView:
@@ -250,7 +375,7 @@ class _CorruptedLaEDF(LookAheadEDF):
         if not self._corrupted and len(self._keys) >= 2 \
                 and self._keys[0] != self._keys[1]:
             self._keys[0], self._keys[1] = self._keys[1], self._keys[0]
-            self._tasks[0], self._tasks[1] = self._tasks[1], self._tasks[0]
+            self._order[0], self._order[1] = self._order[1], self._order[0]
             self._corrupted = True
         return super()._defer(view)
 
